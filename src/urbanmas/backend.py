@@ -1,12 +1,16 @@
-"""Chat-completion backends: live HTTP, deterministic mock, and cassette replay.
+"""Chat-completion backends: live HTTP, deterministic mock, and cassette record/replay.
 
 Every agent call in the pipeline goes through :class:`ChatBackend.complete`,
 so swapping the model is a construction-time decision. The mock backend is a
 pure function of ``(system_prompt, user_prompt, variant_seed)`` and ships
 with a responder that understands the pipeline's prompt shapes, which makes
 whole runs executable offline with no fixtures. The cassette is append-only
-line-delimited JSON, one ``fingerprint -> response`` pair per line; replay
-from a cassette is the only sanctioned path for CI.
+line-delimited JSON, one ``fingerprint -> response`` pair per line, and
+:class:`CassetteBackend` reads it through: replay serves only what is
+stored, while record asks its inner backend once per missing fingerprint,
+so a recording is replayed exactly, writes each fingerprint once, and
+resumes where an earlier recording stopped. Replay from a cassette is the
+only sanctioned path for CI.
 
 Environment for the live backend: ``URBANMAS_API_KEY``, ``URBANMAS_API_BASE``
 (OpenAI-compatible chat-completions endpoint) and ``URBANMAS_MODEL``.
@@ -22,11 +26,17 @@ import os
 import re
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .errors import AuthenticationError, ReplayMissError, TransportExhaustedError
+from .errors import (
+    AuthenticationError,
+    CassetteFormatError,
+    ReplayMissError,
+    TransportExhaustedError,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -269,14 +279,29 @@ class MockBackend(ChatBackend):
 # Cassette record / replay
 # --------------------------------------------------------------------------
 
-class Cassette:
-    """Append-only fingerprint -> response store, one JSON object per line."""
+class CassetteBackend(ChatBackend):
+    """Read-through fingerprint -> response store over an append-only cassette.
 
-    def __init__(self, path: str | Path):
+    The cassette is loaded once. A hit serves the stored response. A miss
+    without an ``inner`` backend is a :class:`ReplayMissError` (replay); with
+    one, the inner backend is called once per fingerprint, the response is
+    appended, and every caller with that fingerprint gets that same response,
+    concurrent ones included (record). A failed inner call stores nothing.
+    """
+
+    def __init__(self, path: str | Path, inner: ChatBackend | None = None):
         self.path = Path(path)
+        self._inner = inner
+        self.backend_id = "replay" if inner is None else "record"
+        self._entries = self._load()
+        self._in_flight: dict[str, Future] = {}
         self._lock = threading.Lock()
+        self.call_count = 0
 
-    def load(self) -> dict[str, ChatResponse]:
+    def _served(self, text: str, latency_ms: float) -> ChatResponse:
+        return ChatResponse(text=text, latency_ms=latency_ms, backend_id=self.backend_id)
+
+    def _load(self) -> dict[str, ChatResponse]:
         entries: dict[str, ChatResponse] = {}
         if not self.path.exists():
             return entries
@@ -289,76 +314,62 @@ class Cassette:
                     data = json.loads(line)
                     fp = data["fingerprint"]
                     resp = data["response"]
-                except (json.JSONDecodeError, KeyError) as exc:
-                    raise ValueError(f"{self.path}:{lineno}: bad cassette line: {exc}") from exc
-                if fp in entries:
-                    logger.warning("duplicate cassette fingerprint %s; last write wins", fp)
-                entries[fp] = ChatResponse(
-                    text=resp["text"],
-                    latency_ms=float(resp.get("latency_ms", 0.0)),
-                    backend_id=str(resp.get("backend_id", "")),
-                )
+                    served = self._served(resp["text"], float(resp.get("latency_ms", 0.0)))
+                    if fp in entries:
+                        logger.warning("duplicate cassette fingerprint %s; last write wins", fp)
+                    entries[fp] = served
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise CassetteFormatError(
+                        f"{self.path}:{lineno}: bad cassette line: {exc}"
+                    ) from exc
         return entries
 
-    def append(self, fp: str, resp: ChatResponse) -> None:
-        line = json.dumps(
-            {
-                "fingerprint": fp,
-                "response": {
-                    "text": resp.text,
-                    "latency_ms": resp.latency_ms,
-                    "backend_id": resp.backend_id,
-                },
-            },
-            ensure_ascii=False,
-        )
-        with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-
-
-class ReplayBackend(ChatBackend):
-    """Serve recorded responses by request fingerprint; misses are errors."""
-
-    backend_id = "replay"
-
-    def __init__(self, cassette_path: str | Path):
-        self._entries = Cassette(cassette_path).load()
-        self._path = Path(cassette_path)
-        self._lock = threading.Lock()
-        self.call_count = 0
-
     def complete(self, req: ChatRequest) -> ChatResponse:
+        fp = fingerprint(req)
         with self._lock:
             self.call_count += 1
-        fp = fingerprint(req)
+            stored = self._entries.get(fp)
+            if stored is not None:
+                return stored
+            if self._inner is None:
+                head = req.user_prompt.splitlines()[0][:80]
+                raise ReplayMissError(
+                    f"no cassette entry in {self.path} for fingerprint {fp} "
+                    f"(seed={req.variant_seed}, prompt starts: {head!r})"
+                )
+            pending = self._in_flight.get(fp)
+            owner = pending is None
+            if owner:
+                pending = self._in_flight[fp] = Future()
+        if not owner:
+            return pending.result()
         try:
-            stored = self._entries[fp]
-        except KeyError:
-            head = req.user_prompt.splitlines()[0][:80]
-            raise ReplayMissError(
-                f"no cassette entry in {self._path} for fingerprint {fp} "
-                f"(seed={req.variant_seed}, prompt starts: {head!r})"
-            ) from None
-        return ChatResponse(
-            text=stored.text, latency_ms=stored.latency_ms, backend_id=self.backend_id
-        )
-
-
-class RecordingBackend(ChatBackend):
-    """Pass requests to an inner backend and append every response to a cassette."""
-
-    backend_id = "record"
-
-    def __init__(self, inner: ChatBackend, cassette_path: str | Path):
-        self._inner = inner
-        self._cassette = Cassette(cassette_path)
-
-    def complete(self, req: ChatRequest) -> ChatResponse:
-        resp = self._inner.complete(req)
-        self._cassette.append(fingerprint(req), resp)
-        return resp
+            resp = self._inner.complete(req)
+            served = self._served(resp.text, resp.latency_ms)
+            line = json.dumps(
+                {
+                    "fingerprint": fp,
+                    "response": {
+                        "text": resp.text,
+                        "latency_ms": resp.latency_ms,
+                        "backend_id": resp.backend_id,
+                    },
+                },
+                ensure_ascii=False,
+            )
+            with self._lock:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    fh.write(line + "\n")
+                self._entries[fp] = served
+                del self._in_flight[fp]
+        except BaseException as exc:
+            with self._lock:
+                self._in_flight.pop(fp, None)
+            pending.set_exception(exc)
+            raise
+        pending.set_result(served)
+        return served
 
 
 # --------------------------------------------------------------------------

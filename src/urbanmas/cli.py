@@ -23,14 +23,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from . import __version__
-from .backend import (
-    ChatBackend,
-    LiveBackend,
-    LiveConfig,
-    MockBackend,
-    RecordingBackend,
-    ReplayBackend,
-)
+from .backend import CassetteBackend, ChatBackend, LiveBackend, LiveConfig, MockBackend
 from .domain import (
     LocationSample,
     PAIRS,
@@ -81,7 +74,6 @@ class RunConfig:
     out_dir: str = "runs/out"
     cache_dir: str = "runs/geocache"
     factor_dir: str = "runs/factors"
-    seed: int = 0
     poi_radius_m: float = 300.0
     poi_limit: int = 25
     reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
@@ -160,7 +152,7 @@ def make_backend(cfg: RunConfig) -> ChatBackend:
     if cfg.backend == "mock":
         return MockBackend()
     if cfg.backend == "replay":
-        return ReplayBackend(cfg.cassette)
+        return CassetteBackend(cfg.cassette)
     live_cfg = LiveConfig.from_env(
         model=cfg.model,
         api_base=cfg.api_base,
@@ -172,7 +164,7 @@ def make_backend(cfg: RunConfig) -> ChatBackend:
     if cfg.backend == "live":
         return LiveBackend(live_cfg)
     inner: ChatBackend = MockBackend() if cfg.record_source == "mock" else LiveBackend(live_cfg)
-    return RecordingBackend(inner, cfg.cassette)
+    return CassetteBackend(cfg.cassette, inner)
 
 
 def _sha256_file(path: str | Path) -> str:
@@ -189,7 +181,6 @@ def write_manifest(cfg: RunConfig, command: str) -> Path:
         "command": command,
         "version": __version__,
         "backend_mode": cfg.backend,
-        "seed": cfg.seed,
         "dataset_sha256": _sha256_file(cfg.dataset),
         "cassette_sha256": _sha256_file(cfg.cassette),
         "config": cfg.snapshot(),

@@ -22,11 +22,6 @@ FACTORS_PER_SET = 6
 RECORD_STATUSES = ("raw", "stable", "refined", "low_confidence")
 PROVENANCES = ("variant_a", "variant_b", "refined")
 
-# Legal record status transitions: records start raw and settle exactly once.
-_STATUS_TRANSITIONS = {
-    "raw": {"stable", "refined", "low_confidence"},
-}
-
 
 class Dimension(Enum):
     """Facet of urban context a factor set describes."""
@@ -403,8 +398,8 @@ class UrbanInfoRecord:
 
     def settle(self, status: str, fields: Mapping[str, FieldValue] | None = None) -> "UrbanInfoRecord":
         """Return a copy in a settled status; only raw records may settle."""
-        allowed = _STATUS_TRANSITIONS.get(self.status, set())
-        if status not in allowed:
+        # Records start raw and settle exactly once, into a non-raw status.
+        if self.status != "raw" or status not in RECORD_STATUSES[1:]:
             raise ValueError(f"illegal status transition {self.status!r} -> {status!r}")
         return replace(self, status=status, fields=dict(fields if fields is not None else self.fields))
 

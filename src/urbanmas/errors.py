@@ -33,6 +33,10 @@ class ReplayMissError(BackendError):
     """The cassette holds no entry for the request fingerprint."""
 
 
+class CassetteFormatError(BackendError):
+    """A cassette line is not a valid fingerprint -> response entry."""
+
+
 # --- geo ingestion --------------------------------------------------------
 
 class GeoError(UrbanMasError):

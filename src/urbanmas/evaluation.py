@@ -1,4 +1,4 @@
-"""Ground-truth handling, regression metrics, and the ablation runner.
+"""Ground-truth handling, regression metrics, and ablation tables.
 
 Predictions are scored with MAE, MSE and RMSE per (task, variant).
 Ablation tables report each variant's relative change against the full
@@ -9,20 +9,13 @@ unrounded metric values.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .backend import ChatBackend
-from .domain import LocationSample, PredictionOutput, TaskSpec
+from .domain import PredictionOutput
 from .errors import AlignmentError, EvaluationError
-from .guidance import guide
-from .pipeline import GUIDED_VARIANTS, RunOutcome, run_predictions
-from .reliability import ReliabilityConfig
-
-logger = logging.getLogger(__name__)
 
 BASELINE_VARIANT = "full"
 
@@ -201,14 +194,6 @@ def load_ground_truth_csv(path: str | Path) -> dict[tuple[str, str], float]:
     return table
 
 
-def truth_for_task(
-    samples: Iterable[LocationSample], task_id: str
-) -> dict[str, float]:
-    return {
-        s.id: s.ground_truth[task_id] for s in samples if task_id in s.ground_truth
-    }
-
-
 def score_outcome(
     predictions: Sequence[PredictionOutput],
     truths: Mapping[tuple[str, str], float],
@@ -229,57 +214,3 @@ def score_outcome(
             )
         reports.append(metrics(pred_map, truth_map, task_id=task_id, variant=variant))
     return reports
-
-
-def run_experiment(
-    samples: Sequence[LocationSample],
-    tasks: Sequence[TaskSpec],
-    variants: Sequence[str],
-    backend: ChatBackend,
-    rel_cfg: ReliabilityConfig | None = None,
-    factor_cache_dir: str | Path | None = None,
-    workers: int = 4,
-) -> tuple[list[EvalReport], RunOutcome]:
-    """Run the experimental matrix and score it against dataset ground truth.
-
-    Guided factor maps are produced (or loaded from cache) once per task.
-    Locations that fail in the pipeline are excluded from the metrics with
-    a logged count; locations without ground truth for a task are skipped.
-    """
-    rel_cfg = rel_cfg or ReliabilityConfig()
-    factor_maps = {}
-    if any(v in GUIDED_VARIANTS for v in variants):
-        for task in tasks:
-            cache = (
-                Path(factor_cache_dir) / f"factors_{task.id}.json"
-                if factor_cache_dir is not None
-                else None
-            )
-            factor_maps[task.id] = guide(task, backend, cache_path=cache, workers=workers)
-
-    scored_tasks = []
-    for task in tasks:
-        if any(task.id in s.ground_truth for s in samples):
-            scored_tasks.append(task)
-        else:
-            logger.warning("task %s has no ground truth in the dataset; skipping", task.id)
-    if not scored_tasks:
-        raise EvaluationError("no task has ground truth in the dataset")
-
-    outcome = run_predictions(
-        samples, scored_tasks, variants, backend, rel_cfg, factor_maps, workers=workers
-    )
-    if outcome.failures:
-        logger.warning(
-            "excluding %d failed job(s) from metrics", len(outcome.failures)
-        )
-    truths = {
-        (s.id, t.id): s.ground_truth[t.id]
-        for s in samples
-        for t in scored_tasks
-        if t.id in s.ground_truth
-    }
-    scorable = [
-        p for p in outcome.predictions if (p.location_id, p.task_id) in truths
-    ]
-    return score_outcome(scorable, truths), outcome

@@ -183,9 +183,10 @@ def extract_variants(
     sample: LocationSample,
     fs: FactorSet,
     backend: ChatBackend,
+    prompt: ExtractionPrompt | None = None,
 ) -> tuple[UrbanInfoRecord, UrbanInfoRecord]:
     """Request the two independent extraction variants (seeds 0 and 1)."""
-    prompt = build_prompt(sample, fs)
+    prompt = prompt or build_prompt(sample, fs)
     values_a = _request_variant(sample, fs, backend, prompt, seed=0)
     values_b = _request_variant(sample, fs, backend, prompt, seed=1)
     return (
@@ -198,10 +199,11 @@ def extract_single(
     sample: LocationSample,
     fs: FactorSet,
     backend: ChatBackend,
+    prompt: ExtractionPrompt | None = None,
 ) -> UrbanInfoRecord:
     """Single-variant extraction for the no_reliability ablation: one call,
     variant A accepted unconditionally, record stays raw."""
-    prompt = build_prompt(sample, fs)
+    prompt = prompt or build_prompt(sample, fs)
     values = _request_variant(sample, fs, backend, prompt, seed=0)
     return _record(sample, fs, values, "variant_a")
 
@@ -262,21 +264,22 @@ def extract_pair(
     reliability_enabled: bool = True,
 ) -> PairExtraction:
     """Run one (dimension, level) extraction chain end to end."""
+    prompt = build_prompt(sample, fs)
     if not reliability_enabled:
-        record = extract_single(sample, fs, backend)
+        record = extract_single(sample, fs, backend, prompt)
         return PairExtraction(
-            prompt=build_prompt(sample, fs),
+            prompt=prompt,
             variant_a=record,
             variant_b=None,
             report=None,
             record=record,
         )
-    var_a, var_b = extract_variants(sample, fs, backend)
+    var_a, var_b = extract_variants(sample, fs, backend, prompt)
     report = evaluate(var_a, var_b, cfg)
     counter = {"calls": 0}
     record = reconcile(var_a, var_b, report, _refine_fn(sample, fs, backend, counter), cfg)
     return PairExtraction(
-        prompt=build_prompt(sample, fs),
+        prompt=prompt,
         variant_a=var_a,
         variant_b=var_b,
         report=report,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from urbanmas.backend import ChatBackend, MockBackend, RecordingBackend, ReplayBackend
+from urbanmas.backend import CassetteBackend, ChatBackend, MockBackend
 from urbanmas.cli import main as cli_main
 from urbanmas.domain import PAIRS
 from urbanmas.evaluation import (
@@ -293,10 +293,10 @@ class TestCriterion8AblationAccounting:
             # A conflict corrupts the same field in all four pairs: each
             # pair repairs it once, so repairs == 4 * conflicts.
             cassette = tmp_path / f"full_{conflicts}.jsonl"
-            recorder = RecordingBackend(self._scripted(conflicts), cassette)
+            recorder = CassetteBackend(cassette, self._scripted(conflicts))
             predict_location(sample, task, "full", recorder, factor_map=factor_map)
 
-            replay = CountingBackend(ReplayBackend(cassette))
+            replay = CountingBackend(CassetteBackend(cassette))
             run = predict_location(sample, task, "full", replay, factor_map=factor_map)
             assert replay.count == extraction_calls + 1
             repairs = sum(pe.refine_calls for pe in run.pairs.values())
@@ -304,16 +304,16 @@ class TestCriterion8AblationAccounting:
             assert repairs == 4 * conflicts
 
         cassette = tmp_path / "no_reliability.jsonl"
-        recorder = RecordingBackend(self._scripted(0), cassette)
+        recorder = CassetteBackend(cassette, self._scripted(0))
         predict_location(sample, task, "no_reliability", recorder, factor_map=factor_map)
-        replay = CountingBackend(ReplayBackend(cassette))
+        replay = CountingBackend(CassetteBackend(cassette))
         predict_location(sample, task, "no_reliability", replay, factor_map=factor_map)
         assert replay.count == 4 + 1
 
         cassette = tmp_path / "single_llm.jsonl"
-        recorder = RecordingBackend(self._scripted(0), cassette)
+        recorder = CassetteBackend(cassette, self._scripted(0))
         predict_location(sample, task, "single_llm", recorder)
-        replay = CountingBackend(ReplayBackend(cassette))
+        replay = CountingBackend(CassetteBackend(cassette))
         predict_location(sample, task, "single_llm", replay)
         assert replay.count == 1
         _pass(8, "per-variant call counts: full=4*2+repairs+1, no_reliability=4+1, single_llm=1")

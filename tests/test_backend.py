@@ -1,21 +1,32 @@
 import json
+import sys
 import threading
+import time
 
 import pytest
 
 from urbanmas.backend import (
-    Cassette,
+    CassetteBackend,
+    ChatBackend,
     ChatRequest,
     ChatResponse,
     LiveBackend,
     LiveConfig,
     MockBackend,
     RateLimiter,
-    RecordingBackend,
-    ReplayBackend,
+    deterministic_responder,
     fingerprint,
 )
-from urbanmas.errors import AuthenticationError, ReplayMissError, TransportExhaustedError
+from urbanmas.domain import PAIRS
+from urbanmas.errors import (
+    AuthenticationError,
+    CassetteFormatError,
+    ReplayMissError,
+    TransportExhaustedError,
+)
+from urbanmas.pipeline import run_predictions
+
+from conftest import make_factor_set
 
 
 def req(**kwargs) -> ChatRequest:
@@ -94,54 +105,72 @@ class TestCassette:
     def test_record_then_replay_round_trip(self, tmp_path):
         path = tmp_path / "cassette.jsonl"
         inner = MockBackend()
-        recorder = RecordingBackend(inner, path)
+        recorder = CassetteBackend(path, inner)
         request = req(user_prompt="what is here?")
         recorded = recorder.complete(request)
 
-        replay = ReplayBackend(path)
+        replay = CassetteBackend(path)
         replayed = replay.complete(request)
         assert replayed.text == recorded.text
         assert replayed.backend_id == "replay"
 
     def test_replay_miss_is_an_error(self, tmp_path):
         path = tmp_path / "cassette.jsonl"
-        RecordingBackend(MockBackend(), path).complete(req())
-        replay = ReplayBackend(path)
+        CassetteBackend(path, MockBackend()).complete(req())
+        replay = CassetteBackend(path)
         with pytest.raises(ReplayMissError, match="fingerprint"):
             replay.complete(req(user_prompt="never recorded"))
 
     def test_replay_after_cassette_deletion_misses(self, tmp_path):
         path = tmp_path / "cassette.jsonl"
-        RecordingBackend(MockBackend(), path).complete(req())
+        CassetteBackend(path, MockBackend()).complete(req())
         path.unlink()
-        replay = ReplayBackend(path)
+        replay = CassetteBackend(path)
         with pytest.raises(ReplayMissError):
             replay.complete(req())
 
     def test_duplicate_fingerprint_last_write_wins(self, tmp_path, caplog):
         path = tmp_path / "cassette.jsonl"
-        cassette = Cassette(path)
         fp = fingerprint(req())
-        cassette.append(fp, ChatResponse(text="first"))
-        cassette.append(fp, ChatResponse(text="second"))
+        path.write_text(
+            "".join(
+                json.dumps({"fingerprint": fp, "response": {"text": text}}) + "\n"
+                for text in ("first", "second")
+            )
+        )
         with caplog.at_level("WARNING"):
-            entries = cassette.load()
-        assert entries[fp].text == "second"
+            replay = CassetteBackend(path)
+        assert replay.complete(req()).text == "second"
         assert any("last write wins" in r.message for r in caplog.records)
 
     def test_bad_cassette_line_is_reported_with_position(self, tmp_path):
         path = tmp_path / "cassette.jsonl"
         path.write_text("not json\n")
-        with pytest.raises(ValueError, match="cassette.jsonl:1"):
-            Cassette(path).load()
+        with pytest.raises(CassetteFormatError, match="cassette.jsonl:1"):
+            CassetteBackend(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"fingerprint": "abc", "response": {}}',
+            '{"fingerprint": "abc", "response": {"text": "t", "latency_ms": -1}}',
+            '{"fingerprint": "abc", "response": "text"}',
+            "[1, 2]",
+        ],
+    )
+    def test_malformed_entry_is_a_labelled_error(self, tmp_path, line):
+        path = tmp_path / "cassette.jsonl"
+        path.write_text(json.dumps({"fingerprint": "ok", "response": {"text": "t"}}) + "\n" + line + "\n")
+        with pytest.raises(CassetteFormatError, match="cassette.jsonl:2: bad cassette line"):
+            CassetteBackend(path, MockBackend())
 
     def test_concurrent_replay_is_schedule_independent(self, tmp_path):
         path = tmp_path / "cassette.jsonl"
-        recorder = RecordingBackend(MockBackend(), path)
+        recorder = CassetteBackend(path, MockBackend())
         requests = [req(user_prompt=f"p{i}") for i in range(20)]
         expected = [recorder.complete(r).text for r in requests]
 
-        replay = ReplayBackend(path)
+        replay = CassetteBackend(path)
         results: dict[int, str] = {}
 
         def worker(i: int) -> None:
@@ -153,6 +182,124 @@ class TestCassette:
         for t in threads:
             t.join()
         assert [results[i] for i in range(20)] == expected
+
+
+class SamplingBackend(ChatBackend):
+    """The stock mock's answers, drawn afresh on every call like a sampling model.
+
+    Every string value (or the whole text, when it is not a JSON object)
+    carries the draw number, and numeric values become ``draw % 11``, so no
+    two calls give the same answer.
+    """
+
+    backend_id = "sampling"
+
+    def __init__(self, delay_s: float = 0.0):
+        self._delay_s = delay_s
+        self._lock = threading.Lock()
+        self.call_count = 0
+
+    def complete(self, request: ChatRequest) -> ChatResponse:
+        with self._lock:
+            self.call_count += 1
+            draw = self.call_count
+        time.sleep(self._delay_s)
+        text = deterministic_responder(request)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError:
+            data = None
+        if not isinstance(data, dict):
+            return ChatResponse(text=f"{text} (draw {draw})", backend_id=self.backend_id)
+        for key, value in data.items():
+            if isinstance(value, str):
+                data[key] = f"{value} (draw {draw})"
+            elif isinstance(value, (int, float)):
+                data[key] = float(draw % 11)
+        return ChatResponse(text=json.dumps(data), backend_id=self.backend_id)
+
+
+class TestReadThroughCassette:
+    VARIANTS = ("full", "no_reliability")
+
+    @pytest.fixture
+    def factor_maps(self, task):
+        return {task.id: {(d, r): make_factor_set(dimension=d, level=r) for d, r in PAIRS}}
+
+    def test_replay_reproduces_a_sampled_recording(self, dataset, task, factor_maps, tmp_path):
+        # full and no_reliability send the same seed-0 extraction request; a
+        # sampling model answers it differently each time it is asked.
+        path = tmp_path / "cassette.jsonl"
+        recorder = CassetteBackend(path, SamplingBackend())
+        recorded = run_predictions(dataset, [task], self.VARIANTS, recorder, factor_maps=factor_maps)
+        replayed = run_predictions(
+            dataset, [task], self.VARIANTS, CassetteBackend(path), factor_maps=factor_maps
+        )
+        assert not recorded.failures and not replayed.failures
+        assert replayed.predictions == recorded.predictions
+        fingerprints = [json.loads(line)["fingerprint"] for line in path.read_text().splitlines()]
+        assert len(fingerprints) == len(set(fingerprints))
+
+    def test_rerecording_an_existing_cassette_calls_nothing(self, dataset, task, factor_maps, tmp_path):
+        path = tmp_path / "cassette.jsonl"
+        first = run_predictions(
+            dataset, [task], self.VARIANTS, CassetteBackend(path, SamplingBackend()),
+            factor_maps=factor_maps,
+        )
+        recorded = path.read_bytes()
+        inner = SamplingBackend()
+        second = run_predictions(
+            dataset, [task], self.VARIANTS, CassetteBackend(path, inner), factor_maps=factor_maps
+        )
+        assert inner.call_count == 0
+        assert path.read_bytes() == recorded
+        assert second.predictions == first.predictions
+
+    def test_concurrent_identical_requests_reach_the_inner_backend_once(self, tmp_path):
+        path = tmp_path / "cassette.jsonl"
+        inner = SamplingBackend(delay_s=0.05)
+        backend = CassetteBackend(path, inner)
+        start = threading.Barrier(16, timeout=10)
+        texts: list[str] = []
+
+        def worker() -> None:
+            start.wait()
+            texts.append(backend.complete(req()).text)
+
+        threads = [threading.Thread(target=worker) for _ in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert inner.call_count == 1
+        assert len(texts) == 16 and len(set(texts)) == 1
+        assert len(path.read_text().splitlines()) == 1
+
+    def test_failed_inner_call_stores_nothing(self, tmp_path):
+        path = tmp_path / "cassette.jsonl"
+        calls = []
+
+        class Flaky(ChatBackend):
+            def complete(self, request):
+                calls.append(request)
+                if len(calls) == 1:
+                    raise TransportExhaustedError("endpoint down")
+                return ChatResponse(text="answer")
+
+        recorder = CassetteBackend(path, Flaky())
+        with pytest.raises(TransportExhaustedError):
+            recorder.complete(req())
+        assert not path.exists()
+        assert recorder.complete(req()).text == "answer"
+        assert recorder.complete(req()).text == "answer"
+        assert len(calls) == 2
+        assert CassetteBackend(path).complete(req()).text == "answer"
 
 
 class TestRateLimiter:

@@ -353,3 +353,20 @@ class TestExitCodes:
         assert "no cassette entry" in out
         predictions = (workspace / "out" / "predictions.jsonl").read_text().splitlines()
         assert len(predictions) == 2
+
+    @pytest.mark.parametrize("backend", ["replay", "record"])
+    @pytest.mark.parametrize("line", ["not json", '{"fingerprint": "abc", "response": {}}'])
+    def test_malformed_cassette_is_a_labelled_usage_error(self, workspace, capsys, backend, line):
+        cassette = workspace / "cassette.jsonl"
+        cassette.write_text(line + "\n")
+        code = run_cli(
+            "predict", "--backend", backend, "--record-source", "mock",
+            "--cassette", str(cassette),
+            "--dataset", str(workspace / "samples.jsonl"),
+            "--out", str(workspace / "out"),
+            "--variant", "single_llm",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {cassette}:1: bad cassette line" in err
+        assert "Traceback" not in err

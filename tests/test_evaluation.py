@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from urbanmas.backend import MockBackend, RecordingBackend, ReplayBackend
+from urbanmas.backend import CassetteBackend, MockBackend
 from urbanmas.domain import PredictionOutput
 from urbanmas.errors import AlignmentError, EvaluationError
 from urbanmas.evaluation import (
@@ -14,10 +14,11 @@ from urbanmas.evaluation import (
     metrics,
     render_report_table,
     rescale_to_unit_interval_times_ten,
-    run_experiment,
     score_outcome,
     write_reports_csv,
 )
+from urbanmas.guidance import guide
+from urbanmas.pipeline import GUIDED_VARIANTS, run_predictions
 
 
 class TestRescale:
@@ -163,12 +164,23 @@ class TestGroundTruthCsv:
             load_ground_truth_csv(path)
 
 
+def run_and_score(dataset, task, variants, backend, factor_dir=None, workers=4):
+    """Run the variant matrix for one task, then score it against the dataset truth."""
+    factor_maps = {}
+    if any(v in GUIDED_VARIANTS for v in variants):
+        cache = factor_dir / f"factors_{task.id}.json"
+        factor_maps[task.id] = guide(task, backend, cache_path=cache, workers=workers)
+    outcome = run_predictions(
+        dataset, [task], variants, backend, factor_maps=factor_maps, workers=workers
+    )
+    truths = {(s.id, t): v for s in dataset for t, v in s.ground_truth.items()}
+    return score_outcome(outcome.predictions, truths), outcome
+
+
 class TestRunExperiment:
     def test_all_variants_over_three_locations(self, dataset, task, tmp_path):
         variants = ("full", "no_factors", "no_reliability", "single_llm")
-        reports, outcome = run_experiment(
-            dataset, [task], variants, MockBackend(), factor_cache_dir=tmp_path
-        )
+        reports, outcome = run_and_score(dataset, task, variants, MockBackend(), tmp_path)
         assert len(reports) == 4
         assert {r.variant for r in reports} == set(variants)
         assert all(r.n == 3 for r in reports)
@@ -177,35 +189,29 @@ class TestRunExperiment:
     def test_replayed_experiment_is_identical(self, dataset, task, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
         variants = ("full", "single_llm")
-        recorder = RecordingBackend(MockBackend(), cassette)
-        first, _ = run_experiment(
-            dataset, [task], variants, recorder, factor_cache_dir=tmp_path / "f1"
+        recorder = CassetteBackend(cassette, MockBackend())
+        first, _ = run_and_score(dataset, task, variants, recorder, tmp_path / "f1")
+        second, _ = run_and_score(
+            dataset, task, variants, CassetteBackend(cassette), tmp_path / "f2"
         )
-        second, _ = run_experiment(
-            dataset, [task], variants, ReplayBackend(cassette), factor_cache_dir=tmp_path / "f2"
-        )
-        third, _ = run_experiment(
-            dataset, [task], variants, ReplayBackend(cassette),
-            factor_cache_dir=tmp_path / "f3", workers=1,
+        third, _ = run_and_score(
+            dataset, task, variants, CassetteBackend(cassette), tmp_path / "f3", workers=1
         )
         assert first == second == third
 
-    def test_failed_locations_are_excluded_from_metrics(self, dataset, task, tmp_path, caplog):
+    def test_failed_locations_are_excluded_from_metrics(self, dataset, task):
         backend = MockBackend()
         # Poison every prompt e2e for one location: extraction and the
         # single-LLM prompt for it never produce usable JSON.
         backend.add_rule(lambda r: "milan" in r.user_prompt.lower(), "garbage")
-        with caplog.at_level("WARNING"):
-            reports, outcome = run_experiment(
-                dataset, [task], ("single_llm",), backend, factor_cache_dir=tmp_path
-            )
+        reports, outcome = run_and_score(dataset, task, ("single_llm",), backend)
         assert len(outcome.failures) == 1
         assert outcome.failures[0]["location_id"] == "milan_duomo"
         assert reports[0].n == 2
 
-    def test_dataset_without_truth_is_an_error(self, dataset, tmp_path):
+    def test_dataset_without_truth_is_an_error(self, dataset):
         from urbanmas.domain import TaskSpec
 
         other = TaskSpec(id="noise", description="d", output_key="noise_score")
-        with pytest.raises(EvaluationError, match="no task has ground truth"):
-            run_experiment(dataset, [other], ("single_llm",), MockBackend())
+        with pytest.raises(EvaluationError, match="no ground truth for task 'noise'"):
+            run_and_score(dataset, other, ("single_llm",), MockBackend())

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from urbanmas.backend import MockBackend, RecordingBackend, ReplayBackend
+from urbanmas.backend import CassetteBackend, MockBackend
 from urbanmas.domain import Dimension, Level, PAIRS, pair_label
 from urbanmas.errors import ExtractionError, ExtractionParseError
 from urbanmas.extraction import (
@@ -178,12 +178,12 @@ class TestExtractReliable:
 
     def test_replay_is_byte_identical_across_runs(self, sample, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
-        recorder = RecordingBackend(MockBackend(), cassette)
+        recorder = CassetteBackend(cassette, MockBackend())
         factor_map = self._factor_map()
         recorded = extract_reliable(sample, factor_map, recorder)
 
         replays = [
-            extract_reliable(sample, factor_map, ReplayBackend(cassette), workers=w)
+            extract_reliable(sample, factor_map, CassetteBackend(cassette), workers=w)
             for w in (1, 4)
         ]
         as_json = lambda results: json.dumps(

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from urbanmas.backend import MockBackend, RecordingBackend, ReplayBackend
+from urbanmas.backend import CassetteBackend, MockBackend
 from urbanmas.domain import Dimension, Level, PAIRS, validate_factor_set
 from urbanmas.errors import DegenerateReportError, GuidanceError, InvalidFactorSetError
 from urbanmas.guidance import (
@@ -54,9 +54,9 @@ class TestResearch:
 
     def test_replay_runs_are_identical(self, task, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
-        recorder = RecordingBackend(MockBackend(), cassette)
+        recorder = CassetteBackend(cassette, MockBackend())
         first = research(task, Dimension.SOCIAL, Level.MACRO, recorder)
-        replay = ReplayBackend(cassette)
+        replay = CassetteBackend(cassette)
         second = research(task, Dimension.SOCIAL, Level.MACRO, replay)
         third = research(task, Dimension.SOCIAL, Level.MACRO, replay)
         assert first.body == second.body == third.body
@@ -128,9 +128,9 @@ class TestGuide:
 
     def test_replay_guide_is_identical_across_worker_widths(self, task, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
-        recorded = guide(task, RecordingBackend(MockBackend(), cassette))
+        recorded = guide(task, CassetteBackend(cassette, MockBackend()))
         replays = [
-            guide(task, ReplayBackend(cassette), workers=w) for w in (1, 4, 2)
+            guide(task, CassetteBackend(cassette), workers=w) for w in (1, 4, 2)
         ]
         assert all(r == recorded for r in replays)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from urbanmas.backend import MockBackend, RecordingBackend, ReplayBackend
+from urbanmas.backend import CassetteBackend, MockBackend
 from urbanmas.domain import Dimension, Level, LocationSample, PAIRS
 from urbanmas.errors import MissingRecordsError, SchemaFailureError
 from urbanmas.inference import build_inference_prompt, infer, infer_single_llm
@@ -153,7 +153,7 @@ class TestSingleLlm:
 
     def test_replay_runs_are_identical(self, task, sample, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
-        recorded = infer_single_llm(task, sample, RecordingBackend(MockBackend(), cassette))
-        first = infer_single_llm(task, sample, ReplayBackend(cassette))
-        second = infer_single_llm(task, sample, ReplayBackend(cassette))
+        recorded = infer_single_llm(task, sample, CassetteBackend(cassette, MockBackend()))
+        first = infer_single_llm(task, sample, CassetteBackend(cassette))
+        second = infer_single_llm(task, sample, CassetteBackend(cassette))
         assert recorded == first == second
