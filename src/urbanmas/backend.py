@@ -287,12 +287,16 @@ class CassetteBackend(ChatBackend):
     one, the inner backend is called once per fingerprint, the response is
     appended, and every caller with that fingerprint gets that same response,
     concurrent ones included (record). A failed inner call stores nothing.
+    An unterminated last line that does not parse is an append cut short: it
+    is dropped with a warning, and record cuts it off before appending.
     """
 
     def __init__(self, path: str | Path, inner: ChatBackend | None = None):
         self.path = Path(path)
         self._inner = inner
         self.backend_id = "replay" if inner is None else "record"
+        # Set when the cassette does not end in a whole line: (cut to, first append's prefix).
+        self._mend: tuple[int, str] | None = None
         self._entries = self._load()
         self._in_flight: dict[str, Future] = {}
         self._lock = threading.Lock()
@@ -305,23 +309,30 @@ class CassetteBackend(ChatBackend):
         entries: dict[str, ChatResponse] = {}
         if not self.path.exists():
             return entries
-        with open(self.path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
+        end = 0
+        with open(self.path, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                start, end = end, end + len(raw)
+                if not raw.strip():
                     continue
                 try:
-                    data = json.loads(line)
+                    data = json.loads(raw.decode("utf-8"))
                     fp = data["fingerprint"]
                     resp = data["response"]
                     served = self._served(resp["text"], float(resp.get("latency_ms", 0.0)))
-                    if fp in entries:
-                        logger.warning("duplicate cassette fingerprint %s; last write wins", fp)
-                    entries[fp] = served
                 except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                    raise CassetteFormatError(
-                        f"{self.path}:{lineno}: bad cassette line: {exc}"
-                    ) from exc
+                    if raw.endswith(b"\n"):
+                        raise CassetteFormatError(
+                            f"{self.path}:{lineno}: bad cassette line: {exc}"
+                        ) from exc
+                    logger.warning("%s:%d: dropping torn cassette line: %s", self.path, lineno, exc)
+                    self._mend = (start, "")
+                    continue
+                if fp in entries:
+                    logger.warning("duplicate cassette fingerprint %s; last write wins", fp)
+                entries[fp] = served
+                if not raw.endswith(b"\n"):
+                    self._mend = (end, "\n")
         return entries
 
     def complete(self, req: ChatRequest) -> ChatResponse:
@@ -359,6 +370,10 @@ class CassetteBackend(ChatBackend):
             )
             with self._lock:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
+                if self._mend is not None:
+                    os.truncate(self.path, self._mend[0])
+                    line = self._mend[1] + line
+                    self._mend = None
                 with open(self.path, "a", encoding="utf-8") as fh:
                     fh.write(line + "\n")
                 self._entries[fp] = served
@@ -443,7 +458,6 @@ class LiveConfig:
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     backoff_base_s: float = DEFAULT_BACKOFF_BASE_S
     requests_per_minute: float = 60.0
-    max_in_flight: int = 4
 
     @classmethod
     def from_env(cls, **overrides) -> "LiveConfig":
@@ -463,8 +477,8 @@ class LiveBackend(ChatBackend):
 
     Transient transport failures (connection errors, 429, 5xx) are retried
     with exponential backoff; credential rejections fail immediately. A
-    bounded semaphore caps in-flight requests and a token bucket enforces
-    the requests-per-minute budget.
+    token bucket enforces the requests-per-minute budget; the calling
+    threads bound how many requests are in flight.
     """
 
     backend_id = "live"
@@ -480,7 +494,6 @@ class LiveBackend(ChatBackend):
         self._transport = transport
         self._sleep = sleep
         self._limiter = rate_limiter or RateLimiter(self.config.requests_per_minute)
-        self._in_flight = threading.BoundedSemaphore(self.config.max_in_flight)
         self._lock = threading.Lock()
         self.call_count = 0
 
@@ -525,17 +538,16 @@ class LiveBackend(ChatBackend):
                 self._sleep(self.config.backoff_base_s * (2 ** (attempt - 1)))
             attempts_made += 1
             self._limiter.acquire()
-            with self._in_flight:
-                with self._lock:
-                    self.call_count += 1
-                started = time.monotonic()
-                try:
-                    status, body = self._transport(url, headers, payload)
-                except Exception as exc:
-                    last_error = f"transport error: {exc}"
-                    logger.warning("attempt %d/%d failed: %s", attempt + 1, self.config.max_attempts, last_error)
-                    continue
-                elapsed_ms = (time.monotonic() - started) * 1000.0
+            with self._lock:
+                self.call_count += 1
+            started = time.monotonic()
+            try:
+                status, body = self._transport(url, headers, payload)
+            except Exception as exc:
+                last_error = f"transport error: {exc}"
+                logger.warning("attempt %d/%d failed: %s", attempt + 1, self.config.max_attempts, last_error)
+                continue
+            elapsed_ms = (time.monotonic() - started) * 1000.0
             if status in (401, 403):
                 raise AuthenticationError(f"endpoint rejected credentials (HTTP {status})")
             if status == 200:

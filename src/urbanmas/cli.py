@@ -82,7 +82,6 @@ class RunConfig:
     temperature: float | None = None
     top_p: float | None = None
     requests_per_minute: float = 60.0
-    max_in_flight: int = 4
 
     def __post_init__(self) -> None:
         if self.backend not in BACKEND_MODES:
@@ -159,7 +158,6 @@ def make_backend(cfg: RunConfig) -> ChatBackend:
         temperature=cfg.temperature,
         top_p=cfg.top_p,
         requests_per_minute=cfg.requests_per_minute,
-        max_in_flight=cfg.max_in_flight,
     )
     if cfg.backend == "live":
         return LiveBackend(live_cfg)

@@ -58,13 +58,6 @@ def pair_label(dimension: Dimension, level: Level) -> str:
     return f"{_DIMENSION_SHORT[dimension]}_{level.value}"
 
 
-def pair_from_label(label: str) -> tuple[Dimension, Level]:
-    for d, r in PAIRS:
-        if pair_label(d, r) == label:
-            return d, r
-    raise ValueError(f"unknown pair label: {label!r}")
-
-
 @dataclass(frozen=True)
 class TaskSpec:
     """One prediction task: what to predict and under which output key."""
@@ -72,16 +65,12 @@ class TaskSpec:
     id: str
     description: str
     output_key: str
-    output_range: tuple[float, float] = OUTPUT_SCALE
 
     def __post_init__(self) -> None:
         if not self.id.strip():
             raise ValueError("task id must be nonempty")
         if not self.output_key.strip():
             raise ValueError("task output_key must be nonempty")
-        if tuple(self.output_range) != OUTPUT_SCALE:
-            raise ValueError(f"output_range is fixed to {OUTPUT_SCALE}")
-        object.__setattr__(self, "output_range", tuple(self.output_range))
 
     def to_dict(self) -> dict:
         return {

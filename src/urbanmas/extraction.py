@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -29,6 +27,7 @@ from .domain import (
     pair_label,
 )
 from .errors import ExtractionError, ExtractionParseError
+from .guidance import map_pairs
 from .reliability import ReliabilityConfig, evaluate, reconcile
 from .structured import extract_json_object
 
@@ -124,27 +123,23 @@ def _request_variant(
 ) -> dict[str, str]:
     """One extractor call plus at most one re-ask for unusable output."""
     agent = pair_label(fs.dimension, fs.level)
-    request = ChatRequest(
-        system_prompt=prompt.system,
-        user_prompt=prompt.user,
-        image_refs=prompt.image_refs,
-        response_format="structured_object",
-        variant_seed=seed,
-    )
     problem = ""
     for attempt in range(2):
+        user = prompt.user
         if problem:
-            request = ChatRequest(
+            user += (
+                f"\n\nYour previous response was unusable: {problem}. "
+                "Return the complete JSON object with exactly the required keys."
+            )
+        resp = backend.complete(
+            ChatRequest(
                 system_prompt=prompt.system,
-                user_prompt=(
-                    f"{prompt.user}\n\nYour previous response was unusable: {problem}. "
-                    "Return the complete JSON object with exactly the required keys."
-                ),
+                user_prompt=user,
                 image_refs=prompt.image_refs,
                 response_format="structured_object",
                 variant_seed=seed,
             )
-        resp = backend.complete(request)
+        )
         try:
             values, missing = _parse_variant(resp.text, fs)
         except ValueError as exc:
@@ -208,13 +203,10 @@ def extract_single(
     return _record(sample, fs, values, "variant_a")
 
 
-def _refine_fn(sample: LocationSample, fs: FactorSet, backend: ChatBackend, counter: dict):
+def _refine_fn(sample: LocationSample, fs: FactorSet, backend: ChatBackend):
     descriptions = {f.name: f.description for f in fs.factors}
-    lock = threading.Lock()
 
     def refine(field_name: str, value_a: str, value_b: str) -> str:
-        with lock:
-            counter["calls"] += 1
         system = (
             "You are an urban information refiner. Two independently extracted "
             "values for one factor disagree; produce a single corrected value."
@@ -243,7 +235,11 @@ class PairExtraction:
     variant_b: UrbanInfoRecord | None
     report: SimilarityReport | None
     record: UrbanInfoRecord
-    refine_calls: int = 0
+
+    @property
+    def refine_calls(self) -> int:
+        """Refiner calls made: ``reconcile`` makes one per repair round."""
+        return sum(v.repair_rounds for v in self.record.fields.values())
 
     def to_dict(self) -> dict:
         return {
@@ -268,23 +264,13 @@ def extract_pair(
     if not reliability_enabled:
         record = extract_single(sample, fs, backend, prompt)
         return PairExtraction(
-            prompt=prompt,
-            variant_a=record,
-            variant_b=None,
-            report=None,
-            record=record,
+            prompt=prompt, variant_a=record, variant_b=None, report=None, record=record
         )
     var_a, var_b = extract_variants(sample, fs, backend, prompt)
     report = evaluate(var_a, var_b, cfg)
-    counter = {"calls": 0}
-    record = reconcile(var_a, var_b, report, _refine_fn(sample, fs, backend, counter), cfg)
+    record = reconcile(var_a, var_b, report, _refine_fn(sample, fs, backend), cfg)
     return PairExtraction(
-        prompt=prompt,
-        variant_a=var_a,
-        variant_b=var_b,
-        report=report,
-        record=record,
-        refine_calls=counter["calls"],
+        prompt=prompt, variant_a=var_a, variant_b=var_b, report=report, record=record
     )
 
 
@@ -294,9 +280,8 @@ def extract_reliable(
     backend: ChatBackend,
     cfg: ReliabilityConfig | None = None,
     reliability_enabled: bool = True,
-    workers: int = 4,
 ) -> dict[tuple[Dimension, Level], PairExtraction]:
-    """Run the four extraction chains for one location, concurrently.
+    """Run the four extraction chains for one location, one thread each.
 
     Returns the four settled pair results keyed by (dimension, level).
     Failures are re-raised labeled with the failing pair.
@@ -305,21 +290,7 @@ def extract_reliable(
     missing = [pair_label(d, r) for d, r in PAIRS if (d, r) not in factor_map]
     if missing:
         raise ExtractionError(f"factor map is missing pairs: {missing}")
-
-    results: dict[tuple[Dimension, Level], PairExtraction] = {}
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = {
-            pair: pool.submit(
-                extract_pair, sample, factor_map[pair], backend, cfg, reliability_enabled
-            )
-            for pair in PAIRS
-        }
-        errors = []
-        for pair, future in futures.items():
-            try:
-                results[pair] = future.result()
-            except Exception as exc:
-                errors.append(f"{pair_label(*pair)}: {exc}")
-        if errors:
-            raise ExtractionError("; ".join(errors))
-    return results
+    return map_pairs(
+        lambda pair: extract_pair(sample, factor_map[pair], backend, cfg, reliability_enabled),
+        ExtractionError,
+    )

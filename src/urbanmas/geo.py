@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -34,6 +35,9 @@ DEFAULT_GEOCODER_URL = "https://nominatim.openstreetmap.org/reverse"
 DEFAULT_OVERPASS_URL = "https://overpass-api.de/api/interpreter"
 DEFAULT_STREETVIEW_URL = "https://maps.googleapis.com/maps/api/streetview/metadata"
 USER_AGENT = "urbanmas/0.1 (research pipeline)"
+
+# The key each kind of cache entry must hold.
+_CACHE_KEYS = {"reverse": "address", "pois": "elements", "streetview": "refs"}
 
 # Tag keys inspected, in order, to derive a POI category label.
 _CATEGORY_TAGS = (
@@ -112,18 +116,28 @@ class GeoClient:
 
     def _cache_read(self, kind: str, lat: float, lon: float) -> dict | None:
         path = self._cache_path(kind, lat, lon)
-        if not path.exists():
-            with self._stats_lock:
-                self.cache_misses += 1
-            return None
+        data = None
+        if path.exists():
+            try:
+                data = json.loads(path.read_text(encoding="utf-8"))
+            except ValueError:
+                pass
+            if not isinstance(data, dict) or _CACHE_KEYS[kind] not in data:
+                logger.warning("ignoring corrupt geo cache entry %s", path)
+                data = None
         with self._stats_lock:
-            self.cache_hits += 1
-        return json.loads(path.read_text(encoding="utf-8"))
+            if data is None:
+                self.cache_misses += 1
+            else:
+                self.cache_hits += 1
+        return data
 
     def _cache_write(self, kind: str, lat: float, lon: float, data: dict) -> None:
         self.config.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self._cache_path(kind, lat, lon)
-        path.write_text(json.dumps(data, ensure_ascii=False, indent=1), encoding="utf-8")
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        tmp.write_text(json.dumps(data, ensure_ascii=False, indent=1), encoding="utf-8")
+        os.replace(tmp, path)
 
     def _fetch(self, url: str, params: Mapping[str, object]) -> str:
         """Rate-limited GET against an upstream; exceptions become upstream errors."""

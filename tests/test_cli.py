@@ -140,6 +140,20 @@ class TestIngestCommand:
         assert run_cli(*args) == 0
         assert "(100%)" in capsys.readouterr().out
 
+    def test_truncated_geo_cache_entry_degrades_to_a_warning(self, workspace, capsys, caplog):
+        pois = workspace / "geocache" / "pois_35.65860_139.74540.json"
+        pois.write_bytes(pois.read_bytes()[:40])
+        code = run_cli(
+            "ingest", "--offline",
+            "--dataset", str(workspace / "raw_samples.jsonl"),
+            "--cache-dir", str(workspace / "geocache"),
+            "--out", str(workspace / "out"),
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "with address: 3; with POIs: 2" in out
+        assert str(pois) in caplog.text
+
     def test_empty_dataset_is_an_error(self, workspace, capsys):
         empty = workspace / "empty.jsonl"
         empty.write_text("")

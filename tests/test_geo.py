@@ -155,6 +155,37 @@ class TestNearbyPois:
         ]
 
 
+class TestCorruptCacheEntry:
+    POIS = "pois_35.65860_139.74540.json"
+
+    def test_truncated_entry_is_an_offline_miss_naming_the_file(self, geocache_dir, caplog):
+        path = geocache_dir / self.POIS
+        path.write_bytes(path.read_bytes()[:40])
+        client = offline_client(geocache_dir)
+        with pytest.raises(OfflineMissError):
+            client.nearby_pois(*TOKYO)
+        assert str(path) in caplog.text
+        assert (client.cache_hits, client.cache_misses) == (0, 1)
+
+    def test_entry_without_its_key_is_a_miss(self, geocache_dir):
+        (geocache_dir / self.POIS).write_text(json.dumps({"address": "wrong kind"}))
+        with pytest.raises(OfflineMissError):
+            offline_client(geocache_dir).nearby_pois(*TOKYO)
+
+    def test_online_read_rewrites_the_entry(self, tmp_path):
+        path = tmp_path / self.POIS
+        path.write_text('{"elements": [{"name": "Tok')
+        body = json.dumps(
+            {"elements": [{"lat": 35.6586, "lon": 139.7454, "tags": {"name": "Tokyo Tower"}}]}
+        )
+        cfg = IngestConfig(cache_dir=tmp_path, min_request_interval_s=0.0)
+        client = GeoClient(cfg, http_get=lambda url, params: (200, body))
+        assert [p.name for p in client.nearby_pois(*TOKYO)] == ["Tokyo Tower"]
+        assert json.loads(path.read_text())["elements"][0]["name"] == "Tokyo Tower"
+        assert client.network_calls == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [self.POIS]
+
+
 class TestStreetview:
     def test_cached_local_path_is_returned_offline(self, tmp_path):
         image = tmp_path / "sv_tokyo.jpg"

@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 
 import pytest
 
@@ -72,6 +74,44 @@ class TestRunPredictions:
         assert len(outcome.failures) == 1
         assert outcome.failures[0]["location_id"] == "seattle_pike"
         assert "seattle_pike" not in [p.location_id for p in outcome.predictions]
+
+
+class GaugedBackend(MockBackend):
+    """The stock mock, slowed a little, recording the peak of calls in flight."""
+
+    def __init__(self):
+        super().__init__()
+        self._gauge = threading.Lock()
+        self._current = 0
+        self.peak = 0
+
+    def complete(self, req):
+        with self._gauge:
+            self._current += 1
+            self.peak = max(self.peak, self._current)
+        try:
+            time.sleep(0.002)
+            return super().complete(req)
+        finally:
+            with self._gauge:
+                self._current -= 1
+
+
+class TestWorkersBoundCallsInFlight:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_predict_keeps_at_most_four_calls_per_worker(self, dataset, task, factor_map, workers):
+        backend = GaugedBackend()
+        outcome = run_predictions(
+            dataset, [task], ["full"], backend, factor_maps={task.id: factor_map}, workers=workers
+        )
+        assert not outcome.failures
+        assert backend.peak <= 4 * workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_guide_keeps_at_most_one_call_per_worker(self, task, workers):
+        backend = GaugedBackend()
+        guide(task, backend, workers=workers)
+        assert backend.peak <= workers
 
 
 class TestRunArtifacts:
