@@ -200,7 +200,12 @@ def _ingest_config(cfg: RunConfig) -> IngestConfig:
 def _load_dataset(cfg: RunConfig) -> list[LocationSample]:
     if not cfg.dataset:
         raise ConfigError("--dataset is required for this command")
-    samples = load_samples(cfg.dataset)
+    try:
+        samples = load_samples(cfg.dataset)
+    except OSError as exc:
+        raise ConfigError(f"{cfg.dataset}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not samples:
         raise ConfigError(f"dataset {cfg.dataset} contains no samples")
     return samples
@@ -280,7 +285,7 @@ def cmd_predict(cfg: RunConfig) -> int:
                     f"no factor cache for task {task.id!r} at {cache_path}; "
                     f"run `urbanmas factors --tasks {task.id}` first"
                 )
-            factor_maps[task.id] = load_factor_cache(cache_path, task_id=task.id)
+            factor_maps[task.id] = load_factor_cache(cache_path, task)
 
     outcome = run_predictions(
         samples, tasks, cfg.variants, backend, cfg.reliability, factor_maps, workers=cfg.workers
@@ -312,12 +317,18 @@ def cmd_evaluate(cfg: RunConfig, predictions_path: str | None, truth_path: str |
     pred_file = Path(predictions_path or (Path(cfg.out_dir) / "predictions.jsonl"))
     if not pred_file.is_file():
         raise ConfigError(f"predictions file not found: {pred_file}")
-    predictions = load_predictions(pred_file)
+    try:
+        predictions = load_predictions(pred_file)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not predictions:
         raise ConfigError(f"no predictions in {pred_file}")
 
     if truth_path:
-        truths = load_ground_truth_csv(truth_path)
+        try:
+            truths = load_ground_truth_csv(truth_path)
+        except OSError as exc:
+            raise ConfigError(f"{truth_path}: {exc.strerror or exc}") from exc
         if rescale_truth:
             by_task: dict[str, list[tuple[str, float]]] = {}
             for (loc, task_id), value in truths.items():

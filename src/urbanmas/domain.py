@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -224,7 +226,7 @@ def load_samples(path: str | Path) -> list[LocationSample]:
                 continue
             try:
                 samples.append(LocationSample.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad sample record: {exc}") from exc
     return samples
 
@@ -233,6 +235,15 @@ def save_samples(samples: Iterable[LocationSample], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for sample in samples:
             fh.write(json.dumps(sample.to_dict(), ensure_ascii=False) + "\n")
+
+
+def write_json_atomic(path: Path, doc: object) -> None:
+    """Write ``doc`` as JSON to a temp file, then ``os.replace`` it onto ``path``,
+    so a killed write never leaves a partial file behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp.write_text(json.dumps(doc, ensure_ascii=False, indent=1), encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def normalized_factor_name(name: str) -> str:
@@ -274,23 +285,6 @@ class FactorSet:
     @property
     def factor_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.factors)
-
-    def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "dimension": self.dimension.value,
-            "level": self.level.value,
-            "factors": [f.to_dict() for f in self.factors],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FactorSet":
-        return cls(
-            task_id=str(data["task_id"]),
-            dimension=Dimension(data["dimension"]),
-            level=Level(data["level"]),
-            factors=tuple(PredictiveFactor.from_dict(f) for f in data["factors"]),
-        )
 
 
 def validate_factor_set(fs: FactorSet) -> list[str]:

@@ -39,16 +39,6 @@ class EvalReport:
         if abs(self.rmse - math.sqrt(self.mse)) > 1e-12:
             raise ValueError("rmse must equal sqrt(mse)")
 
-    def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "variant": self.variant,
-            "n": self.n,
-            "mae": self.mae,
-            "mse": self.mse,
-            "rmse": self.rmse,
-        }
-
 
 def rescale_to_unit_interval_times_ten(values: Sequence[float]) -> list[float]:
     """Min-max rescale raw values onto [0, 10].
@@ -117,9 +107,7 @@ def format_metric(value: float, baseline: float | None = None) -> str:
     return cell
 
 
-def render_report_table(
-    reports: Sequence[EvalReport], baseline_variant: str = BASELINE_VARIANT
-) -> str:
+def render_report_table(reports: Sequence[EvalReport]) -> str:
     """Aligned plain-text table, one block per task, changes vs the baseline variant."""
     by_task: dict[str, list[EvalReport]] = {}
     for report in reports:
@@ -128,13 +116,13 @@ def render_report_table(
     rows: list[tuple[str, str, str, str, str]] = [("Task / Variant", "MAE", "MSE", "RMSE", "n")]
     for task_id in sorted(by_task):
         task_reports = by_task[task_id]
-        baseline = next((r for r in task_reports if r.variant == baseline_variant), None)
+        baseline = next((r for r in task_reports if r.variant == BASELINE_VARIANT), None)
         rows.append((f"[{task_id}]", "", "", "", ""))
         ordered = sorted(
-            task_reports, key=lambda r: (r.variant != baseline_variant, r.variant)
+            task_reports, key=lambda r: (r.variant != BASELINE_VARIANT, r.variant)
         )
         for report in ordered:
-            is_base = baseline is not None and report.variant == baseline_variant
+            is_base = baseline is not None and report.variant == BASELINE_VARIANT
             base = None if is_base or baseline is None else baseline
             rows.append(
                 (
@@ -150,13 +138,9 @@ def render_report_table(
     return "\n".join(lines)
 
 
-def write_reports_csv(
-    reports: Sequence[EvalReport],
-    path: str | Path,
-    baseline_variant: str = BASELINE_VARIANT,
-) -> None:
+def write_reports_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
     """Delimited report table with relative-change columns versus the baseline."""
-    baselines = {r.task_id: r for r in reports if r.variant == baseline_variant}
+    baselines = {r.task_id: r for r in reports if r.variant == BASELINE_VARIANT}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -164,10 +148,10 @@ def write_reports_csv(
         writer.writerow(
             ["task_id", "variant", "n", "mae", "mse", "rmse", "mae_vs_full", "mse_vs_full", "rmse_vs_full"]
         )
-        for report in sorted(reports, key=lambda r: (r.task_id, r.variant != baseline_variant, r.variant)):
+        for report in sorted(reports, key=lambda r: (r.task_id, r.variant != BASELINE_VARIANT, r.variant)):
             base = baselines.get(report.task_id)
             changes = ["", "", ""]
-            if base is not None and report.variant != baseline_variant:
+            if base is not None and report.variant != BASELINE_VARIANT:
                 changes = [
                     format_change(base.mae, report.mae),
                     format_change(base.mse, report.mse),
@@ -190,7 +174,10 @@ def load_ground_truth_csv(path: str | Path) -> dict[tuple[str, str], float]:
                 f"{path}: ground truth needs columns {sorted(required)}, got {reader.fieldnames}"
             )
         for row in reader:
-            table[(row["location_id"], row["task_id"])] = float(row["raw_value"])
+            try:
+                table[(row["location_id"], row["task_id"])] = float(row["raw_value"])
+            except (TypeError, ValueError) as exc:
+                raise EvaluationError(f"{path}:{reader.line_num}: bad raw_value: {exc}") from exc
     return table
 
 

@@ -27,7 +27,6 @@ from .domain import (
     pair_label,
 )
 from .errors import ExtractionError, ExtractionParseError
-from .guidance import map_pairs
 from .reliability import ReliabilityConfig, evaluate, reconcile
 from .structured import extract_json_object
 
@@ -281,16 +280,20 @@ def extract_reliable(
     cfg: ReliabilityConfig | None = None,
     reliability_enabled: bool = True,
 ) -> dict[tuple[Dimension, Level], PairExtraction]:
-    """Run the four extraction chains for one location, one thread each.
+    """Run the four extraction chains for one location, in turn, in the caller's thread.
 
     Returns the four settled pair results keyed by (dimension, level).
-    Failures are re-raised labeled with the failing pair.
+    The first failure stops the job: it is re-raised labeled with the
+    failing pair, and the later pairs are never requested.
     """
     cfg = cfg or ReliabilityConfig()
     missing = [pair_label(d, r) for d, r in PAIRS if (d, r) not in factor_map]
     if missing:
         raise ExtractionError(f"factor map is missing pairs: {missing}")
-    return map_pairs(
-        lambda pair: extract_pair(sample, factor_map[pair], backend, cfg, reliability_enabled),
-        ExtractionError,
-    )
+    results = {}
+    for pair in PAIRS:
+        try:
+            results[pair] = extract_pair(sample, factor_map[pair], backend, cfg, reliability_enabled)
+        except Exception as exc:
+            raise ExtractionError(f"{pair_label(*pair)}: {exc}") from exc
+    return results

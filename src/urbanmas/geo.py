@@ -17,14 +17,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .domain import LocationSample, PoiEntry
+from .domain import LocationSample, PoiEntry, write_json_atomic
 from .errors import EnrichmentError, OfflineMissError, UpstreamUnavailableError
 
 logger = logging.getLogger(__name__)
@@ -132,13 +131,6 @@ class GeoClient:
                 self.cache_hits += 1
         return data
 
-    def _cache_write(self, kind: str, lat: float, lon: float, data: dict) -> None:
-        self.config.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = self._cache_path(kind, lat, lon)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps(data, ensure_ascii=False, indent=1), encoding="utf-8")
-        os.replace(tmp, path)
-
     def _fetch(self, url: str, params: Mapping[str, object]) -> str:
         """Rate-limited GET against an upstream; exceptions become upstream errors."""
         with self._throttle_lock:
@@ -173,7 +165,7 @@ class GeoClient:
             address = json.loads(body)["display_name"]
         except (json.JSONDecodeError, KeyError) as exc:
             raise UpstreamUnavailableError(f"geocoder returned unusable body: {exc}") from exc
-        self._cache_write("reverse", lat, lon, {"address": address})
+        write_json_atomic(self._cache_path("reverse", lat, lon), {"address": address})
         return address
 
     def nearby_pois(self, lat: float, lon: float) -> list[PoiEntry]:
@@ -204,7 +196,7 @@ class GeoClient:
                 for el in elements
                 if el.get("lat") is not None and el.get("lon") is not None
             ]
-            self._cache_write("pois", lat, lon, {"elements": raw})
+            write_json_atomic(self._cache_path("pois", lat, lon), {"elements": raw})
 
         pois = []
         for entry in raw:
@@ -246,7 +238,7 @@ class GeoClient:
             pano = meta.get("pano_id", "")
             base = self.config.streetview_url.rsplit("/", 1)[0]
             refs.append(f"{base}?pano={pano}&size=640x640&key={self.config.streetview_api_key}")
-        self._cache_write("streetview", lat, lon, {"refs": refs})
+        write_json_atomic(self._cache_path("streetview", lat, lon), {"refs": refs})
         return refs
 
     def enrich(self, sample: LocationSample) -> LocationSample:

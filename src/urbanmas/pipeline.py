@@ -5,9 +5,10 @@ extraction with the reliability gate and joint inference; ``no_factors``
 swaps the guided factor sets for the fixed generic placeholders;
 ``no_reliability`` uses single-variant extraction with unconditional
 acceptance; ``single_llm`` bypasses all layers with one direct prompt.
-Jobs run on a bounded worker pool and all run outputs (predictions,
-audit transcripts, similarity log) are written in deterministic order so
-replay runs are byte-identical regardless of worker width.
+A job is one thread that makes its model calls one at a time; jobs run on
+one bounded pool, and all run outputs (predictions, audit transcripts,
+similarity log) are written in deterministic order so replay runs are
+byte-identical regardless of worker width.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def run_predictions(
     factor_maps: Mapping[str, FactorMap] | None = None,
     workers: int = 4,
 ) -> RunOutcome:
-    """Run every (location, task, variant) job on a bounded worker pool.
+    """Run every (location, task, variant) job on a pool of 4 x ``workers`` threads.
 
     ``factor_maps`` maps task id to its guided factor map and is required
     for the guided variants. Per-job failures are collected (and counted),
@@ -144,7 +145,8 @@ def run_predictions(
     ]
     outcome = RunOutcome()
     indexed: dict[tuple[str, str, str], LocationRun] = {}
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    # A job makes one call at a time, so at most 4 x workers calls are in flight.
+    with ThreadPoolExecutor(max_workers=len(PAIRS) * max(1, workers)) as pool:
         futures = {
             (sample.id, task.id, variant): pool.submit(
                 predict_location,
@@ -197,12 +199,17 @@ def write_predictions(predictions: Sequence[PredictionOutput], path: str | Path)
 
 
 def load_predictions(path: str | Path) -> list[PredictionOutput]:
+    """Load a predictions file; a bad line raises ``ValueError`` naming ``path:line``."""
     predictions = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 predictions.append(PredictionOutput.from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad prediction record: {exc}") from exc
     return predictions
 
 

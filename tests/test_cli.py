@@ -202,6 +202,22 @@ class TestPredictCommand:
         assert code == 2
         assert "urbanmas factors" in capsys.readouterr().err
 
+    def test_corrupt_factor_cache_is_a_labelled_usage_error(self, workspace, capsys):
+        self._factors(workspace)
+        cache = workspace / "factors" / "factors_running_amount.json"
+        cache.write_bytes(cache.read_bytes()[:200])
+        code = run_cli(
+            "predict", "--backend", "mock",
+            "--dataset", str(workspace / "samples.jsonl"),
+            "--factor-dir", str(workspace / "factors"),
+            "--out", str(workspace / "out"),
+            "--variant", "full",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read factor cache {cache}" in err
+        assert "Traceback" not in err
+
     def test_variant_accounting_no_reliability(self, workspace):
         self._factors(workspace)
         cassette = workspace / "cassette.jsonl"
@@ -383,4 +399,43 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: {cassette}:1: bad cassette line" in err
+        assert "Traceback" not in err
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize(
+        "command, flag, content, where",
+        [
+            ("predict", "--dataset", "\nnot json\n", ":2: "),
+            ("predict", "--dataset", None, ": "),
+            ("evaluate", "--predictions", "\nnot json\n", ":2: "),
+            ("evaluate", "--truth", "location_id,task_id,raw_value\ntokyo_tower,running_amount,high\n", ":2: "),
+            ("evaluate", "--truth", None, ": "),
+        ],
+        ids=[
+            "dataset-bad-line", "dataset-missing", "predictions-bad-line",
+            "truth-not-a-number", "truth-missing",
+        ],
+    )
+    def test_bad_input_file_is_a_labelled_usage_error(
+        self, workspace, capsys, command, flag, content, where
+    ):
+        bad = workspace / "bad_input"
+        if content is not None:
+            bad.write_text(content)
+        predictions = workspace / "predictions.jsonl"
+        predictions.write_text(
+            json.dumps({"location_id": "tokyo_tower", "task_id": "running_amount",
+                        "value": 5.0, "variant": "full"}) + "\n"
+        )
+        files = {"--dataset": workspace / "samples.jsonl"}
+        if command == "evaluate":
+            files["--predictions"] = predictions
+        files[flag] = bad
+        argv = [command, "--out", str(workspace / "out")]
+        for name, path in files.items():
+            argv += [name, str(path)]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}{where}" in err
         assert "Traceback" not in err

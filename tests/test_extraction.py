@@ -176,6 +176,20 @@ class TestExtractReliable:
             extract_reliable(sample, self._factor_map(), backend)
         assert "street" in str(err.value)
 
+    def test_first_failing_pair_stops_the_job(self, sample):
+        social_macro = "social dimension at the macro level"
+        asked = []
+
+        def answer(req):
+            asked.append(req.system_prompt)
+            return "garbage" if social_macro in req.system_prompt else json.dumps(_values())
+
+        backend = MockBackend().add_rule(lambda r: True, answer)
+        with pytest.raises(ExtractionError, match="^social_macro: "):
+            extract_reliable(sample, self._factor_map(), backend)
+        assert asked
+        assert all(social_macro in system for system in asked)
+
     def test_replay_is_byte_identical_across_runs(self, sample, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
         recorder = CassetteBackend(cassette, MockBackend())

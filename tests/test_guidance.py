@@ -4,7 +4,7 @@ import re
 import pytest
 
 from urbanmas.backend import CassetteBackend, MockBackend
-from urbanmas.domain import Dimension, Level, PAIRS, validate_factor_set
+from urbanmas.domain import Dimension, Level, PAIRS, TaskSpec, builtin_task, validate_factor_set
 from urbanmas.errors import DegenerateReportError, GuidanceError, InvalidFactorSetError
 from urbanmas.guidance import (
     GENERIC_FACTORS,
@@ -149,7 +149,43 @@ class TestGuide:
         factor_map = guide(task, MockBackend())
         save_factor_cache(cache, task, factor_map)
         with pytest.raises(GuidanceError, match="is for task"):
-            load_factor_cache(cache, task_id="liveliness")
+            load_factor_cache(cache, builtin_task("liveliness"))
+
+    def test_cache_for_a_changed_task_spec_is_refused(self, task, tmp_path):
+        cache = tmp_path / "factors.json"
+        guide(task, MockBackend(), cache_path=cache)
+        changed = TaskSpec(task.id, task.description + " Count night runs only.", task.output_key)
+        with pytest.raises(GuidanceError, match="delete it and run `urbanmas factors"):
+            guide(changed, MockBackend(), cache_path=cache)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: text[:200],
+            lambda text: "[]",
+            lambda text: json.dumps({**json.loads(text), "pairs": [{"dimension": "social"}]}),
+        ],
+        ids=["truncated", "not-an-object", "pair-without-level"],
+    )
+    def test_corrupt_cache_is_a_guidance_error_naming_the_file(self, task, tmp_path, corrupt):
+        cache = tmp_path / "factors.json"
+        guide(task, MockBackend(), cache_path=cache)
+        cache.write_text(corrupt(cache.read_text()))
+        with pytest.raises(GuidanceError, match=re.escape(str(cache))):
+            guide(task, MockBackend(), cache_path=cache)
+
+    def test_interrupted_cache_write_keeps_the_old_cache(self, task, tmp_path, monkeypatch):
+        cache = tmp_path / "factors.json"
+        factor_map = guide(task, MockBackend(), cache_path=cache)
+        before = cache.read_bytes()
+
+        def killed(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr("os.replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            save_factor_cache(cache, task, factor_map)
+        assert cache.read_bytes() == before
 
     def test_cache_with_missing_pair_is_rejected(self, task, tmp_path):
         cache = tmp_path / "factors.json"
@@ -159,7 +195,7 @@ class TestGuide:
         doc["pairs"] = doc["pairs"][:3]
         cache.write_text(json.dumps(doc))
         with pytest.raises(GuidanceError, match="missing pairs"):
-            load_factor_cache(cache)
+            load_factor_cache(cache, task)
 
 
 class TestGenericFactors:

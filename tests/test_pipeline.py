@@ -107,6 +107,14 @@ class TestWorkersBoundCallsInFlight:
         assert not outcome.failures
         assert backend.peak <= 4 * workers
 
+    def test_one_job_makes_one_call_at_a_time(self, sample, task, factor_map):
+        backend = GaugedBackend()
+        outcome = run_predictions(
+            [sample], [task], ["full"], backend, factor_maps={task.id: factor_map}
+        )
+        assert not outcome.failures
+        assert backend.peak == 1
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_guide_keeps_at_most_one_call_per_worker(self, task, workers):
         backend = GaugedBackend()
