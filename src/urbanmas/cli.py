@@ -19,7 +19,7 @@ import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -108,43 +108,48 @@ class RunConfig:
             raise ConfigError("no tasks selected")
         return resolved
 
-    def snapshot(self) -> dict:
-        data = asdict(self)
-        data["custom_tasks"] = [t.to_dict() for t in self.custom_tasks]
-        data["reliability"] = self.reliability.to_dict()
-        return data
+
+def _known_keys(data: dict, cls: type, where: str) -> dict:
+    """``data`` unchanged, after rejecting keys that are not fields of ``cls``."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    return data
 
 
 def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
-    """Build a RunConfig from an optional JSON file plus CLI overrides."""
+    """Build a RunConfig from an optional JSON file plus CLI overrides.
+
+    Unknown keys are rejected at every level; a malformed value raises
+    ``ConfigError`` naming the file.
+    """
     data: dict = {}
     if path:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    data.update({k: v for k, v in overrides.items() if v is not None})
-
-    custom_tasks = tuple(TaskSpec.from_dict(t) for t in data.pop("custom_tasks", ()))
-    reliability = ReliabilityConfig.from_dict(data.pop("reliability", {}))
-    tasks = data.pop("tasks", ("running_amount",))
-    if isinstance(tasks, str):
-        tasks = tuple(t.strip() for t in tasks.split(",") if t.strip())
-    variants = data.pop("variants", ("full",))
-    if isinstance(variants, str):
-        variants = tuple(v.strip() for v in variants.split(",") if v.strip())
-
-    known = {f.name for f in RunConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return RunConfig(
-        custom_tasks=custom_tasks,
-        reliability=reliability,
-        tasks=tuple(tasks),
-        variants=tuple(variants),
-        **data,
-    )
+    try:
+        data.update({k: v for k, v in overrides.items() if v is not None})
+        custom_tasks = tuple(
+            TaskSpec(**_known_keys(t, TaskSpec, "custom task"))
+            for t in data.pop("custom_tasks", ())
+        )
+        reliability = ReliabilityConfig.from_dict(
+            _known_keys(data.pop("reliability", {}), ReliabilityConfig, "reliability")
+        )
+        for key in ("tasks", "variants"):
+            if isinstance(data.get(key), str):
+                data[key] = [v.strip() for v in data[key].split(",") if v.strip()]
+            if key in data:
+                data[key] = tuple(data[key])
+        return RunConfig(
+            custom_tasks=custom_tasks,
+            reliability=reliability,
+            **_known_keys(data, RunConfig, "config"),
+        )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad config value: {exc}") from exc
 
 
 def make_backend(cfg: RunConfig) -> ChatBackend:
@@ -181,7 +186,7 @@ def write_manifest(cfg: RunConfig, command: str) -> Path:
         "backend_mode": cfg.backend,
         "dataset_sha256": _sha256_file(cfg.dataset),
         "cassette_sha256": _sha256_file(cfg.cassette),
-        "config": cfg.snapshot(),
+        "config": asdict(cfg),
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
@@ -419,15 +424,8 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
     )
     args = build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, key, None)
-        for key in (
-            "backend", "dataset", "tasks", "variants", "offline", "cassette",
-            "out_dir", "workers", "cache_dir", "factor_dir", "record_source",
-        )
-    }
-    if overrides.get("variants") is not None:
-        overrides["variants"] = tuple(overrides["variants"])
+    config_keys = {f.name for f in fields(RunConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in config_keys}
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "factors":

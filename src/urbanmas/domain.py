@@ -81,14 +81,6 @@ class TaskSpec:
             "output_key": self.output_key,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TaskSpec":
-        return cls(
-            id=str(data["id"]),
-            description=str(data["description"]),
-            output_key=str(data["output_key"]),
-        )
-
 
 # Built-in tasks used by the CLI when no custom task definitions are given.
 DEFAULT_TASKS: tuple[TaskSpec, ...] = (
@@ -237,13 +229,18 @@ def save_samples(samples: Iterable[LocationSample], path: str | Path) -> None:
             fh.write(json.dumps(sample.to_dict(), ensure_ascii=False) + "\n")
 
 
-def write_json_atomic(path: Path, doc: object) -> None:
-    """Write ``doc`` as JSON to a temp file, then ``os.replace`` it onto ``path``,
-    so a killed write never leaves a partial file behind."""
+def write_text_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to a temp file, then ``os.replace`` it onto
+    ``path``, so a killed write never leaves a partial file behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    tmp.write_text(json.dumps(doc, ensure_ascii=False, indent=1), encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
     os.replace(tmp, path)
+
+
+def write_json_atomic(path: Path, doc: object) -> None:
+    write_text_atomic(path, [json.dumps(doc, ensure_ascii=False, indent=1)])
 
 
 def normalized_factor_name(name: str) -> str:
@@ -343,15 +340,6 @@ class FieldValue:
             data["repair_rounds"] = self.repair_rounds
         return data
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FieldValue":
-        return cls(
-            text=str(data["text"]),
-            provenance=str(data["provenance"]),
-            similarity=data.get("similarity"),
-            repair_rounds=int(data.get("repair_rounds", 0)),
-        )
-
 
 @dataclass(frozen=True)
 class UrbanInfoRecord:
@@ -396,26 +384,19 @@ class UrbanInfoRecord:
             "fields": {name: value.to_dict() for name, value in self.fields.items()},
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "UrbanInfoRecord":
-        return cls(
-            location_id=str(data["location_id"]),
-            task_id=str(data["task_id"]),
-            dimension=Dimension(data["dimension"]),
-            level=Level(data["level"]),
-            fields={k: FieldValue.from_dict(v) for k, v in data["fields"].items()},
-            status=str(data.get("status", "raw")),
-        )
-
 
 @dataclass(frozen=True)
 class SimilarityReport:
-    """Per-field and aggregate similarity between two extraction variants."""
+    """Per-field similarity between two extraction variants, and the verdict.
+
+    ``aggregate`` (the mean score) and ``conflicting`` (the fields scoring
+    below ``threshold``) are derived from ``per_field`` at construction.
+    """
 
     per_field: Mapping[str, float]
-    aggregate: float
-    conflicting: frozenset[str]
     threshold: float
+    aggregate: float = field(init=False)
+    conflicting: frozenset[str] = field(init=False)
 
     def __post_init__(self) -> None:
         per_field = dict(self.per_field)
@@ -424,26 +405,10 @@ class SimilarityReport:
         for name, score in per_field.items():
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"score for {name!r} out of [0, 1]: {score}")
-        expected_conflicts = frozenset(
-            name for name, score in per_field.items() if score < self.threshold
-        )
-        if frozenset(self.conflicting) != expected_conflicts:
-            raise ValueError("conflicting set does not match sub-threshold fields")
-        mean = math.fsum(per_field.values()) / len(per_field)
-        if abs(mean - self.aggregate) > 1e-12:
-            raise ValueError("aggregate is not the mean of per-field scores")
         object.__setattr__(self, "per_field", per_field)
-        object.__setattr__(self, "conflicting", frozenset(self.conflicting))
-
-    @classmethod
-    def from_scores(cls, per_field: Mapping[str, float], threshold: float) -> "SimilarityReport":
-        per_field = dict(per_field)
-        return cls(
-            per_field=per_field,
-            aggregate=math.fsum(per_field.values()) / len(per_field),
-            conflicting=frozenset(n for n, s in per_field.items() if s < threshold),
-            threshold=threshold,
-        )
+        object.__setattr__(self, "aggregate", math.fsum(per_field.values()) / len(per_field))
+        conflicting = frozenset(n for n, s in per_field.items() if s < self.threshold)
+        object.__setattr__(self, "conflicting", conflicting)
 
     def to_dict(self) -> dict:
         return {

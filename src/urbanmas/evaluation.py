@@ -107,32 +107,33 @@ def format_metric(value: float, baseline: float | None = None) -> str:
     return cell
 
 
+def _with_baselines(reports: Sequence[EvalReport]) -> list[tuple[EvalReport, EvalReport | None]]:
+    """Reports by task, the baseline variant first, each paired with its task's
+    baseline report (``None`` for the baseline itself, or if the task has none)."""
+    baselines = {r.task_id: r for r in reports if r.variant == BASELINE_VARIANT}
+    ordered = sorted(reports, key=lambda r: (r.task_id, r.variant != BASELINE_VARIANT, r.variant))
+    return [
+        (r, None if r.variant == BASELINE_VARIANT else baselines.get(r.task_id)) for r in ordered
+    ]
+
+
 def render_report_table(reports: Sequence[EvalReport]) -> str:
     """Aligned plain-text table, one block per task, changes vs the baseline variant."""
-    by_task: dict[str, list[EvalReport]] = {}
-    for report in reports:
-        by_task.setdefault(report.task_id, []).append(report)
-
     rows: list[tuple[str, str, str, str, str]] = [("Task / Variant", "MAE", "MSE", "RMSE", "n")]
-    for task_id in sorted(by_task):
-        task_reports = by_task[task_id]
-        baseline = next((r for r in task_reports if r.variant == BASELINE_VARIANT), None)
-        rows.append((f"[{task_id}]", "", "", "", ""))
-        ordered = sorted(
-            task_reports, key=lambda r: (r.variant != BASELINE_VARIANT, r.variant)
-        )
-        for report in ordered:
-            is_base = baseline is not None and report.variant == BASELINE_VARIANT
-            base = None if is_base or baseline is None else baseline
-            rows.append(
-                (
-                    f"  {report.variant}",
-                    format_metric(report.mae, base.mae if base else None),
-                    format_metric(report.mse, base.mse if base else None),
-                    format_metric(report.rmse, base.rmse if base else None),
-                    str(report.n),
-                )
+    task_id = None
+    for report, base in _with_baselines(reports):
+        if report.task_id != task_id:
+            task_id = report.task_id
+            rows.append((f"[{task_id}]", "", "", "", ""))
+        rows.append(
+            (
+                f"  {report.variant}",
+                format_metric(report.mae, base.mae if base else None),
+                format_metric(report.mse, base.mse if base else None),
+                format_metric(report.rmse, base.rmse if base else None),
+                str(report.n),
             )
+        )
     widths = [max(len(row[col]) for row in rows) for col in range(5)]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
     return "\n".join(lines)
@@ -140,7 +141,6 @@ def render_report_table(reports: Sequence[EvalReport]) -> str:
 
 def write_reports_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
     """Delimited report table with relative-change columns versus the baseline."""
-    baselines = {r.task_id: r for r in reports if r.variant == BASELINE_VARIANT}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -148,10 +148,9 @@ def write_reports_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
         writer.writerow(
             ["task_id", "variant", "n", "mae", "mse", "rmse", "mae_vs_full", "mse_vs_full", "rmse_vs_full"]
         )
-        for report in sorted(reports, key=lambda r: (r.task_id, r.variant != BASELINE_VARIANT, r.variant)):
-            base = baselines.get(report.task_id)
+        for report, base in _with_baselines(reports):
             changes = ["", "", ""]
-            if base is not None and report.variant != BASELINE_VARIANT:
+            if base is not None:
                 changes = [
                     format_change(base.mae, report.mae),
                     format_change(base.mse, report.mse),

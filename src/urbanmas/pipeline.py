@@ -18,7 +18,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .backend import ChatBackend
 from .domain import (
@@ -30,6 +30,8 @@ from .domain import (
     PredictionOutput,
     TaskSpec,
     pair_label,
+    write_json_atomic,
+    write_text_atomic,
 )
 from .errors import ConfigError
 from .extraction import PairExtraction, extract_reliable
@@ -103,9 +105,12 @@ def predict_location(
 class RunOutcome:
     """Everything a prediction run produced, in deterministic order."""
 
-    predictions: list[PredictionOutput] = field(default_factory=list)
     runs: list[LocationRun] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
+
+    @property
+    def predictions(self) -> list[PredictionOutput]:
+        return [run.prediction for run in self.runs]
 
     @property
     def clamp_count(self) -> int:
@@ -174,10 +179,7 @@ def run_predictions(
                     }
                 )
 
-    for key in sorted(indexed):
-        run = indexed[key]
-        outcome.runs.append(run)
-        outcome.predictions.append(run.prediction)
+    outcome.runs = [indexed[key] for key in sorted(indexed)]
     outcome.failures.sort(key=lambda f: (f["location_id"], f["task_id"], f["variant"]))
     if outcome.failures:
         logger.warning("%d job(s) failed and were excluded", len(outcome.failures))
@@ -191,11 +193,7 @@ def run_predictions(
 def write_predictions(predictions: Sequence[PredictionOutput], path: str | Path) -> None:
     """Line-delimited predictions, sorted by (location, task, variant)."""
     ordered = sorted(predictions, key=lambda p: (p.location_id, p.task_id, p.variant))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for pred in ordered:
-            fh.write(json.dumps(pred.to_dict(), ensure_ascii=False) + "\n")
+    write_text_atomic(Path(path), _json_lines(pred.to_dict() for pred in ordered))
 
 
 def load_predictions(path: str | Path) -> list[PredictionOutput]:
@@ -216,23 +214,16 @@ def load_predictions(path: str | Path) -> list[PredictionOutput]:
 def write_audit(outcome: RunOutcome, audit_dir: str | Path) -> int:
     """One transcript file per job under audit/<variant>/<task>/<location>.json."""
     audit_dir = Path(audit_dir)
-    written = 0
     for run in outcome.runs:
         pred = run.prediction
-        target = audit_dir / pred.variant / pred.task_id
-        target.mkdir(parents=True, exist_ok=True)
-        doc = run.audit_doc()
-        (target / f"{pred.location_id}.json").write_text(
-            json.dumps(doc, ensure_ascii=False, indent=1), encoding="utf-8"
+        write_json_atomic(
+            audit_dir / pred.variant / pred.task_id / f"{pred.location_id}.json", run.audit_doc()
         )
-        written += 1
-    return written
+    return len(outcome.runs)
 
 
 def write_similarity_log(outcome: RunOutcome, path: str | Path) -> int:
     """One similarity report line per settled record, for audit."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = []
     for run in outcome.runs:
         if run.pairs is None:
@@ -252,7 +243,9 @@ def write_similarity_log(outcome: RunOutcome, path: str | Path) -> int:
                     "report": pe.report.to_dict(),
                 }
             )
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(json.dumps(line, ensure_ascii=False) + "\n")
+    write_text_atomic(Path(path), _json_lines(lines))
     return len(lines)
+
+
+def _json_lines(docs: Iterable[dict]) -> Iterable[str]:
+    return (json.dumps(doc, ensure_ascii=False) + "\n" for doc in docs)

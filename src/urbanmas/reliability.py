@@ -57,14 +57,6 @@ class ReliabilityConfig:
         if self.max_repair_rounds < 1:
             raise ValueError("max_repair_rounds must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "jaccard_weight": self.jaccard_weight,
-            "seq_weight": self.seq_weight,
-            "max_repair_rounds": self.max_repair_rounds,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "ReliabilityConfig":
         return cls(
@@ -134,7 +126,7 @@ def evaluate(
         name: soft_sim(var_a.fields[name].text, var_b.fields[name].text, cfg)
         for name in var_a.field_names
     }
-    return SimilarityReport.from_scores(per_field, cfg.threshold)
+    return SimilarityReport(per_field, cfg.threshold)
 
 
 RefineFn = Callable[[str, str, str], str]
@@ -149,27 +141,15 @@ def reconcile(
 ) -> UrbanInfoRecord:
     """Settle variant A into a reliable record, repairing only conflicts.
 
-    With no conflicting fields variant A is accepted as-is (status
-    ``stable``). Otherwise each conflicting field is regenerated through
+    Each field that ``report`` flags as conflicting is regenerated through
     ``refine_fn(field_name, value_a, value_b)`` and re-scored against
     variant A's value, up to ``cfg.max_repair_rounds`` times; later rounds
     pass the previous refinement as the competing value. Fields that never
     reach the threshold keep their last refined text and the record settles
-    as ``low_confidence``. Non-conflicting fields are byte-preserved.
+    as ``low_confidence``; with no conflicting fields it settles as
+    ``stable``. Non-conflicting fields are byte-preserved from variant A.
     """
     cfg = cfg or ReliabilityConfig()
-    if not report.conflicting:
-        fields = {
-            name: FieldValue(
-                text=value.text,
-                provenance=value.provenance,
-                similarity=report.per_field[name],
-                repair_rounds=0,
-            )
-            for name, value in var_a.fields.items()
-        }
-        return var_a.settle("stable", fields)
-
     fields: dict[str, FieldValue] = {}
     unresolved = 0
     for name, value in var_a.fields.items():
@@ -211,4 +191,5 @@ def reconcile(
             repair_rounds=rounds,
         )
 
-    return var_a.settle("low_confidence" if unresolved else "refined", fields)
+    status = "low_confidence" if unresolved else "refined" if report.conflicting else "stable"
+    return var_a.settle(status, fields)

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -73,6 +74,45 @@ class TestRunConfig:
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"reliability": {"threshold": 0.9}}))
         assert load_config(config, {}).reliability.threshold == 0.9
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"reliability": {"treshold": 0.5}}, "unknown reliability keys: ['treshold']"),
+            (
+                {"custom_tasks": [{"id": "w", "description": "d", "output_key": "w", "colour": 1}]},
+                "unknown custom task keys: ['colour']",
+            ),
+        ],
+        ids=["reliability", "custom-task"],
+    )
+    def test_unknown_nested_keys_are_rejected(self, tmp_path, doc, message):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(config, {})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"custom_tasks": [{"id": "walk_score", "output_key": "walk_score"}]},
+            {"workers": "two"},
+            {"reliability": {"threshold": "high"}},
+            {"reliability": {"threshold": 0}},
+            {"variants": 5},
+        ],
+        ids=[
+            "task-without-description", "workers-not-a-number", "threshold-not-a-number",
+            "threshold-zero", "variants-not-a-list",
+        ],
+    )
+    def test_malformed_config_value_is_a_labelled_usage_error(self, tmp_path, capsys, doc):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        assert run_cli("factors", "--config", str(config), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"error: {config}: " in err
+        assert "Traceback" not in err
 
 
 class TestFactorsCommand:

@@ -135,6 +135,22 @@ class TestRunArtifacts:
         write_predictions(outcome.predictions, path)
         assert load_predictions(path) == outcome.predictions
 
+    def test_interrupted_predictions_write_keeps_the_old_file(
+        self, dataset, task, factor_map, tmp_path, monkeypatch
+    ):
+        outcome = self._outcome(dataset, task, factor_map)
+        path = tmp_path / "predictions.jsonl"
+        write_predictions(outcome.predictions, path)
+        before = path.read_bytes()
+
+        def killed(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr("os.replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            write_predictions(outcome.predictions[:1], path)
+        assert path.read_bytes() == before
+
     def test_audit_layout_and_content(self, dataset, task, factor_map, tmp_path):
         outcome = self._outcome(dataset, task, factor_map)
         audit = tmp_path / "audit"
