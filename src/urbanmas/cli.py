@@ -31,6 +31,7 @@ from .domain import (
     builtin_task,
     load_samples,
     save_samples,
+    write_text_atomic,
 )
 from .errors import ConfigError, EnrichmentError, UrbanMasError
 from .evaluation import (
@@ -85,16 +86,22 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.backend not in BACKEND_MODES:
-            raise ConfigError(f"backend must be one of {BACKEND_MODES}, got {self.backend!r}")
+            raise ConfigError(f"backend: must be one of {BACKEND_MODES}, got {self.backend!r}")
         if self.record_source not in ("live", "mock"):
-            raise ConfigError("record_source must be 'live' or 'mock'")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+            raise ConfigError(f"record_source: must be 'live' or 'mock', got {self.record_source!r}")
+        for key in ("workers", "poi_limit"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{key}: must be an integer >= 1, got {value!r}")
+        for key in ("poi_radius_m", "requests_per_minute"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, float)) or value <= 0:
+                raise ConfigError(f"{key}: must be a number > 0, got {value!r}")
         unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown:
-            raise ConfigError(f"unknown variants {unknown} (choose from {VARIANTS})")
+            raise ConfigError(f"variants: unknown variants {unknown} (choose from {VARIANTS})")
         if self.backend in ("replay", "record") and not self.cassette:
-            raise ConfigError(f"backend {self.backend!r} requires --cassette")
+            raise ConfigError(f"cassette: backend {self.backend!r} requires --cassette")
 
     def resolve_tasks(self) -> list[TaskSpec]:
         custom = {t.id: t for t in self.custom_tasks}
@@ -109,19 +116,20 @@ class RunConfig:
         return resolved
 
 
-def _known_keys(data: dict, cls: type, where: str) -> dict:
+def _known_keys(data: dict, cls: type) -> dict:
     """``data`` unchanged, after rejecting keys that are not fields of ``cls``."""
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys: {sorted(unknown)}")
     return data
 
 
 def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus CLI overrides.
 
-    Unknown keys are rejected at every level; a malformed value raises
-    ``ConfigError`` naming the file.
+    Unknown keys are rejected at every level. An error names the file and
+    the top-level key, as in ``run.json: reliability: unknown keys: [...]``
+    or ``run.json: workers: must be an integer >= 1, got 'two'``.
     """
     data: dict = {}
     if path:
@@ -129,27 +137,34 @@ def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: must hold a JSON object")
+    key = ""  # the key being parsed; RunConfig names its own fields
     try:
         data.update({k: v for k, v in overrides.items() if v is not None})
+        key = "custom_tasks: "
         custom_tasks = tuple(
-            TaskSpec(**_known_keys(t, TaskSpec, "custom task"))
-            for t in data.pop("custom_tasks", ())
+            TaskSpec(**_known_keys(t, TaskSpec)) for t in data.pop("custom_tasks", ())
         )
+        key = "reliability: "
         reliability = ReliabilityConfig.from_dict(
-            _known_keys(data.pop("reliability", {}), ReliabilityConfig, "reliability")
+            _known_keys(data.pop("reliability", {}), ReliabilityConfig)
         )
-        for key in ("tasks", "variants"):
-            if isinstance(data.get(key), str):
-                data[key] = [v.strip() for v in data[key].split(",") if v.strip()]
-            if key in data:
-                data[key] = tuple(data[key])
+        for name in ("tasks", "variants"):
+            key = f"{name}: "
+            if isinstance(data.get(name), str):
+                data[name] = [v.strip() for v in data[name].split(",") if v.strip()]
+            if name in data:
+                data[name] = tuple(data[name])
+        key = ""
         return RunConfig(
             custom_tasks=custom_tasks,
             reliability=reliability,
-            **_known_keys(data, RunConfig, "config"),
+            **_known_keys(data, RunConfig),
         )
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad config value: {exc}") from exc
+    except (AttributeError, TypeError, ValueError, ConfigError) as exc:
+        where = f"{path}: " if path else ""
+        raise ConfigError(f"{where}{key}{exc}") from exc
 
 
 def make_backend(cfg: RunConfig) -> ChatBackend:
@@ -178,8 +193,6 @@ def _sha256_file(path: str | Path) -> str:
 
 
 def write_manifest(cfg: RunConfig, command: str) -> Path:
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "version": __version__,
@@ -188,8 +201,8 @@ def write_manifest(cfg: RunConfig, command: str) -> Path:
         "cassette_sha256": _sha256_file(cfg.cassette),
         "config": asdict(cfg),
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
+    path = Path(cfg.out_dir) / "manifest.json"
+    write_text_atomic(path, [json.dumps(manifest, indent=1, sort_keys=True)])
     return path
 
 
@@ -255,7 +268,6 @@ def cmd_ingest(cfg: RunConfig) -> int:
                 enriched[sample.id] = sample
 
     out_path = Path(cfg.out_dir) / "enriched.jsonl"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     save_samples((enriched[s.id] for s in samples), out_path)
 
     with_address = sum(1 for s in enriched.values() if s.address)
@@ -363,7 +375,7 @@ def cmd_evaluate(cfg: RunConfig, predictions_path: str | None, truth_path: str |
     out_dir = Path(cfg.out_dir)
     write_reports_csv(reports, out_dir / "reports.csv")
     table = render_report_table(reports)
-    (out_dir / "reports.txt").write_text(table + "\n", encoding="utf-8")
+    write_text_atomic(out_dir / "reports.txt", [table, "\n"])
     print(table)
     return 0
 

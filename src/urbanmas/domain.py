@@ -224,19 +224,29 @@ def load_samples(path: str | Path) -> list[LocationSample]:
 
 
 def save_samples(samples: Iterable[LocationSample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(json.dumps(sample.to_dict(), ensure_ascii=False) + "\n")
+    write_text_atomic(
+        Path(path),
+        (json.dumps(sample.to_dict(), ensure_ascii=False) + "\n" for sample in samples),
+    )
 
 
 def write_text_atomic(path: Path, chunks: Iterable[str]) -> None:
     """Write the text ``chunks`` to a temp file, then ``os.replace`` it onto
-    ``path``, so a killed write never leaves a partial file behind."""
+    ``path``, so a killed write never leaves a partial file behind.
+
+    The chunks are written as given, with no newline translation. If the
+    write or the rename fails, the temp file is removed and the error
+    re-raised, so ``path`` keeps its old content and nothing else is left.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json_atomic(path: Path, doc: object) -> None:

@@ -9,12 +9,13 @@ unrounded metric values.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .domain import PredictionOutput
+from .domain import PredictionOutput, write_text_atomic
 from .errors import AlignmentError, EvaluationError
 
 BASELINE_VARIANT = "full"
@@ -141,25 +142,24 @@ def render_report_table(reports: Sequence[EvalReport]) -> str:
 
 def write_reports_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
     """Delimited report table with relative-change columns versus the baseline."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(
+        ["task_id", "variant", "n", "mae", "mse", "rmse", "mae_vs_full", "mse_vs_full", "rmse_vs_full"]
+    )
+    for report, base in _with_baselines(reports):
+        changes = ["", "", ""]
+        if base is not None:
+            changes = [
+                format_change(base.mae, report.mae),
+                format_change(base.mse, report.mse),
+                format_change(base.rmse, report.rmse),
+            ]
         writer.writerow(
-            ["task_id", "variant", "n", "mae", "mse", "rmse", "mae_vs_full", "mse_vs_full", "rmse_vs_full"]
+            [report.task_id, report.variant, report.n,
+             repr(report.mae), repr(report.mse), repr(report.rmse), *changes]
         )
-        for report, base in _with_baselines(reports):
-            changes = ["", "", ""]
-            if base is not None:
-                changes = [
-                    format_change(base.mae, report.mae),
-                    format_change(base.mse, report.mse),
-                    format_change(base.rmse, report.rmse),
-                ]
-            writer.writerow(
-                [report.task_id, report.variant, report.n,
-                 repr(report.mae), repr(report.mse), repr(report.rmse), *changes]
-            )
+    write_text_atomic(Path(path), [buffer.getvalue()])
 
 
 def load_ground_truth_csv(path: str | Path) -> dict[tuple[str, str], float]:

@@ -9,13 +9,22 @@ the gate is byte-preserved from variant A.
 
 Normalization removes exactly: every character whose Unicode general
 category starts with ``P`` (all punctuation categories), plus the symbols
-``# $ + < = > | ~``. No other characters are touched.
+``# $ + < = > | ~``. No other characters are touched. It is one
+``str.translate`` pass after ``lower()``; the table fills lazily, deciding
+each code point the first time one is seen.
 
-The gestalt ratio follows Ratcliff/Obershelp matching: recursively find the
-longest common contiguous block (ties broken by earliest position in the
-first operand, then in the second) and match the flanking regions, giving
-2*M / (len(a) + len(b)). Raw gestalt matching is order-dependent, so the
-operands are evaluated in lexicographic order to make the score symmetric.
+The gestalt ratio follows Ratcliff/Obershelp matching (Dr. Dobb's Journal,
+July 1988): recursively find the longest common contiguous block (ties
+broken by earliest position in the first operand, then in the second) and
+match the flanking regions, giving 2*M / (len(a) + len(b)). It is computed
+exactly without difflib, and equals
+``SequenceMatcher(None, a, b, autojunk=False).ratio()``. Raw gestalt
+matching is order-dependent, so the operands are evaluated in
+lexicographic order to make the score symmetric.
+
+Operands that normalize to the same string score
+``jaccard_weight + seq_weight`` at once: both parts are exactly 1.0 there,
+and the weights may sum to 1 only within 1e-12.
 """
 
 from __future__ import annotations
@@ -23,7 +32,6 @@ from __future__ import annotations
 import logging
 import unicodedata
 from dataclasses import dataclass
-from difflib import SequenceMatcher
 from typing import Callable, Mapping
 
 from .domain import FieldValue, SimilarityReport, UrbanInfoRecord
@@ -67,14 +75,23 @@ class ReliabilityConfig:
         )
 
 
-def _is_removed(ch: str) -> bool:
-    return ch in _EXTRA_PUNCTUATION or unicodedata.category(ch).startswith("P")
+class _RemovalTable(dict):
+    """``str.translate`` table that decides each code point on first sight:
+    ``None`` (removed) for punctuation, the code point itself (kept) otherwise."""
+
+    def __missing__(self, code: int) -> int | None:
+        ch = chr(code)
+        removed = ch in _EXTRA_PUNCTUATION or unicodedata.category(ch).startswith("P")
+        value = self[code] = None if removed else code
+        return value
+
+
+_REMOVAL_TABLE = _RemovalTable()
 
 
 def normalize(text: str) -> str:
     """Lowercase, strip punctuation, collapse whitespace. Idempotent."""
-    kept = [ch for ch in text.lower() if not _is_removed(ch)]
-    return " ".join("".join(kept).split())
+    return " ".join(text.lower().translate(_REMOVAL_TABLE).split())
 
 
 def jaccard(a: str, b: str) -> float:
@@ -91,6 +108,37 @@ def jaccard(a: str, b: str) -> float:
     return len(tokens_a & tokens_b) / len(union)
 
 
+def _matched_chars(a: str, b: str) -> int:
+    """Characters that Ratcliff/Obershelp matching pairs up between a and b.
+
+    Each range takes its longest common block, earliest in ``a`` and then
+    earliest in ``b``, and the ranges on either side of it are matched in
+    turn. ``k`` only grows: at each later start in ``a`` only a block
+    longer than the best so far is looked for.
+    """
+    matched = 0
+    ranges = [(0, len(a), 0, len(b))]
+    while ranges:
+        alo, ahi, blo, bhi = ranges.pop()
+        sub_a, sub_b = a[alo:ahi], b[blo:bhi]
+        n = len(sub_a)
+        i = k = best = 0
+        while i + k < n:
+            if sub_a[i:i + k + 1] in sub_b:
+                best, k = i, k + 1
+            else:
+                i += 1
+        if not k:
+            continue
+        i, j = alo + best, blo + sub_b.find(sub_a[best:best + k])
+        matched += k
+        if alo < i and blo < j:
+            ranges.append((alo, i, blo, j))
+        if i + k < ahi and j + k < bhi:
+            ranges.append((i + k, ahi, j + k, bhi))
+    return matched
+
+
 def seq_ratio(a: str, b: str) -> float:
     """Gestalt (Ratcliff/Obershelp) similarity of two already-normalized texts.
 
@@ -101,13 +149,15 @@ def seq_ratio(a: str, b: str) -> float:
         a, b = b, a
     if not a and not b:
         return 1.0
-    return SequenceMatcher(None, a, b, autojunk=False).ratio()
+    return 2.0 * _matched_chars(a, b) / (len(a) + len(b))
 
 
 def soft_sim(a: str, b: str, cfg: ReliabilityConfig | None = None) -> float:
     """Hybrid soft similarity: weighted Jaccard + gestalt ratio over normalized inputs."""
     cfg = cfg or ReliabilityConfig()
     na, nb = normalize(a), normalize(b)
+    if na == nb:
+        return cfg.jaccard_weight + cfg.seq_weight
     return cfg.jaccard_weight * jaccard(na, nb) + cfg.seq_weight * seq_ratio(na, nb)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shutil
 from pathlib import Path
@@ -52,7 +53,7 @@ class TestRunConfig:
     def test_unknown_config_keys_are_rejected(self, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"turbo": True}))
-        with pytest.raises(ConfigError, match="unknown config keys"):
+        with pytest.raises(ConfigError, match=re.escape(f"{config}: unknown keys: ['turbo']")):
             load_config(config, {})
 
     def test_custom_tasks_resolve_before_builtins(self, tmp_path):
@@ -78,10 +79,10 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ({"reliability": {"treshold": 0.5}}, "unknown reliability keys: ['treshold']"),
+            ({"reliability": {"treshold": 0.5}}, "reliability: unknown keys: ['treshold']"),
             (
                 {"custom_tasks": [{"id": "w", "description": "d", "output_key": "w", "colour": 1}]},
-                "unknown custom task keys: ['colour']",
+                "custom_tasks: unknown keys: ['colour']",
             ),
         ],
         ids=["reliability", "custom-task"],
@@ -89,30 +90,48 @@ class TestRunConfig:
     def test_unknown_nested_keys_are_rejected(self, tmp_path, doc, message):
         config = tmp_path / "run.json"
         config.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match=re.escape(message)):
+        with pytest.raises(ConfigError, match=re.escape(f"{config}: {message}")):
             load_config(config, {})
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc, key",
         [
-            {"custom_tasks": [{"id": "walk_score", "output_key": "walk_score"}]},
-            {"workers": "two"},
-            {"reliability": {"threshold": "high"}},
-            {"reliability": {"threshold": 0}},
-            {"variants": 5},
+            ({"custom_tasks": [{"id": "walk_score", "output_key": "walk_score"}]}, "custom_tasks"),
+            ({"workers": "two"}, "workers"),
+            ({"reliability": {"threshold": "high"}}, "reliability"),
+            ({"reliability": {"threshold": 0}}, "reliability"),
+            ({"variants": 5}, "variants"),
+            ({"backend": "quantum"}, "backend"),
+            ({"record_source": "tape"}, "record_source"),
+            ({"backend": "replay"}, "cassette"),
+            ({"poi_radius_m": "far"}, "poi_radius_m"),
+            ({"poi_limit": 0}, "poi_limit"),
+            ({"requests_per_minute": "fast"}, "requests_per_minute"),
         ],
         ids=[
             "task-without-description", "workers-not-a-number", "threshold-not-a-number",
-            "threshold-zero", "variants-not-a-list",
+            "threshold-zero", "variants-not-a-list", "backend-unknown", "record-source-unknown",
+            "replay-without-cassette", "radius-not-a-number", "poi-limit-zero",
+            "rate-not-a-number",
         ],
     )
-    def test_malformed_config_value_is_a_labelled_usage_error(self, tmp_path, capsys, doc):
+    def test_malformed_config_value_is_a_labelled_usage_error(self, tmp_path, capsys, doc, key):
         config = tmp_path / "run.json"
         config.write_text(json.dumps(doc))
         assert run_cli("factors", "--config", str(config), "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
-        assert f"error: {config}: " in err
+        assert f"error: {config}: {key}: " in err
         assert "Traceback" not in err
+
+    def test_config_that_is_not_an_object(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text("[1]")
+        with pytest.raises(ConfigError, match=re.escape(f"{config}: must hold a JSON object")):
+            load_config(config, {})
+
+    def test_bad_flag_value_names_the_key(self, tmp_path, capsys):
+        assert run_cli("factors", "--workers", "0", "--out", str(tmp_path / "out")) == 2
+        assert "error: workers: must be an integer >= 1, got 0" in capsys.readouterr().err
 
 
 class TestFactorsCommand:
@@ -346,6 +365,33 @@ class TestEvaluateCommand:
         assert float(mae) == pytest.approx(2 / 3, abs=1e-9)
         assert float(mse) == pytest.approx(2 / 3, abs=1e-9)
         assert float(rmse) == pytest.approx((2 / 3) ** 0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["manifest.json", "reports.csv", "reports.txt"])
+    def test_interrupted_output_write_keeps_the_old_file(
+        self, workspace, capsys, monkeypatch, name
+    ):
+        out = workspace / "out"
+        out.mkdir()
+        (out / "predictions.jsonl").write_text(json.dumps(
+            {"location_id": "tokyo_tower", "task_id": "running_amount",
+             "variant": "full", "value": 7.2, "clamped": False}
+        ) + "\n")
+        args = ("evaluate", "--dataset", str(workspace / "samples.jsonl"), "--out", str(out))
+        assert run_cli(*args) == 0
+        (out / name).write_text("old run\n")
+        before = sorted(os.listdir(out))
+        real_replace = os.replace
+
+        def killed(src, dst):
+            if Path(dst).name == name:
+                raise OSError("killed before the rename")
+            real_replace(src, dst)
+
+        monkeypatch.setattr("os.replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            run_cli(*args)
+        assert (out / name).read_text() == "old run\n"
+        assert sorted(os.listdir(out)) == before
 
     def test_perfect_predictions_give_all_zero_metrics(self, workspace, capsys):
         truths = {"tokyo_tower": 6.2, "milan_duomo": 4.1, "seattle_pike": 5.5}

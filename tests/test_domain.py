@@ -1,4 +1,6 @@
 
+import os
+
 import pytest
 
 from urbanmas.domain import (
@@ -19,6 +21,7 @@ from urbanmas.domain import (
     pair_label,
     save_samples,
     validate_factor_set,
+    write_text_atomic,
 )
 
 from conftest import make_factor_set, make_record
@@ -80,6 +83,20 @@ class TestLocationSample:
         path.write_text('{"id": "a"}\n')
         with pytest.raises(ValueError, match="bad sample record"):
             load_samples(path)
+
+    def test_interrupted_save_keeps_the_old_file(self, tmp_path, sample, monkeypatch):
+        path = tmp_path / "enriched.jsonl"
+        save_samples([sample], path)
+        before = path.read_bytes()
+
+        def killed(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr("os.replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            save_samples([sample, sample], path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["enriched.jsonl"]
 
 
 class TestValidateFactorSet:
@@ -158,3 +175,37 @@ class TestPredictionOutput:
             location_id="l", task_id="t", value=4.2, variant="full", rationale="r", clamped=True
         )
         assert PredictionOutput.from_dict(pred.to_dict()) == pred
+
+
+class TestWriteTextAtomic:
+    def test_writes_the_chunks_whole(self, tmp_path):
+        path = tmp_path / "sub" / "out.txt"
+        write_text_atomic(path, ["a\n", "b\r\n"])
+        assert path.read_bytes() == b"a\nb\r\n"
+        assert os.listdir(path.parent) == ["out.txt"]
+
+    def test_failed_replace_leaves_only_the_old_target(self, tmp_path, monkeypatch):
+        path = tmp_path / "predictions.jsonl"
+        write_text_atomic(path, ["old\n"])
+
+        def killed(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr("os.replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            write_text_atomic(path, ["new\n"])
+        assert os.listdir(tmp_path) == ["predictions.jsonl"]
+        assert path.read_text() == "old\n"
+
+    def test_failed_write_leaves_only_the_old_target(self, tmp_path):
+        path = tmp_path / "predictions.jsonl"
+        write_text_atomic(path, ["old\n"])
+
+        def chunks():
+            yield "new\n"
+            raise RuntimeError("producer failed mid-write")
+
+        with pytest.raises(RuntimeError, match="mid-write"):
+            write_text_atomic(path, chunks())
+        assert os.listdir(tmp_path) == ["predictions.jsonl"]
+        assert path.read_text() == "old\n"

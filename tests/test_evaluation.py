@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import pytest
@@ -126,6 +127,22 @@ class TestFormatting:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("task_id,variant,n,mae,mse,rmse")
         assert "↑100.00%" in lines[2]
+
+    def test_interrupted_csv_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        reports = [EvalReport("t", "full", 3, 1.0, 1.0, 1.0)]
+        path = tmp_path / "reports.csv"
+        write_reports_csv(reports, path)
+        before = path.read_bytes()
+        assert before.count(b"\r\n") == 2 and b"\r\r" not in before
+
+        def killed(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr("os.replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            write_reports_csv(reports * 2, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["reports.csv"]
 
 
 class TestScoreOutcome:

@@ -1,7 +1,10 @@
 import random
 import string
+from difflib import SequenceMatcher
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from urbanmas.errors import FieldKeyMismatchError, RefinerError
 from urbanmas.reliability import (
@@ -15,13 +18,33 @@ from urbanmas.reliability import (
 )
 
 from conftest import FACTOR_NAMES, make_record
-from oracles import brute_gestalt, brute_soft_sim
+from oracles import brute_gestalt, brute_normalize, brute_soft_sim
 
 _CHARS = string.ascii_letters + string.digits + string.punctuation + "  \t\néµ東"
 
 
 def _random_text(rng: random.Random, max_len: int = 40) -> str:
     return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(max_len)))
+
+
+# Texts for the property tests: tiny alphabets give many tied longest blocks,
+# word salad gives the repeated vocabulary of real extraction fields.
+_WORDS = ("the", "street", "quiet", "green", "park", "shops", "bus", "stop", "a", "of")
+_TINY_ALPHABET_TEXT = st.sampled_from(["ab", "abc", "ab c", "abcd"]).flatmap(
+    lambda alphabet: st.text(alphabet=alphabet, max_size=400)
+)
+_WORD_SALAD = st.lists(st.sampled_from(_WORDS), max_size=90).map(lambda w: " ".join(w)[:400])
+# Lowercasing changes the length of some characters ("İ" -> "i̇").
+_UNICODE_TEXT = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from("İẞŉǰΐﬀ«»—…·#$+<=>|~ \t\n")),
+    max_size=60,
+)
+
+
+def _difflib_ratio(a: str, b: str) -> float:
+    """The reference gestalt ratio: difflib, operands in lexicographic order."""
+    a, b = sorted((a, b))
+    return SequenceMatcher(None, a, b, autojunk=False).ratio()
 
 
 class TestNormalize:
@@ -49,6 +72,11 @@ class TestNormalize:
             text = _random_text(rng)
             once = normalize(text)
             assert normalize(once) == once
+
+    @given(_UNICODE_TEXT)
+    @example("İSTANBUL, «Türkiye»")
+    def test_matches_brute_force_on_arbitrary_unicode(self, text):
+        assert normalize(text) == brute_normalize(text)
 
 
 class TestJaccard:
@@ -101,6 +129,16 @@ class TestSeqRatio:
             b = "".join(rng.choice(alphabet) for _ in range(rng.randrange(7)))
             assert seq_ratio(a, b) == pytest.approx(brute_gestalt(a, b), abs=1e-12)
 
+    @settings(deadline=None)
+    @given(_TINY_ALPHABET_TEXT, _TINY_ALPHABET_TEXT)
+    def test_equals_difflib_on_tiny_alphabets(self, a, b):
+        assert seq_ratio(a, b) == _difflib_ratio(a, b)
+
+    @settings(deadline=None)
+    @given(_WORD_SALAD, _WORD_SALAD)
+    def test_equals_difflib_on_word_salad(self, a, b):
+        assert seq_ratio(a, b) == _difflib_ratio(a, b)
+
 
 class TestSoftSim:
     def test_identical_strings_score_one(self):
@@ -137,6 +175,15 @@ class TestSoftSim:
     def test_custom_weights(self):
         cfg = ReliabilityConfig(jaccard_weight=1.0, seq_weight=0.0)
         assert soft_sim("a b", "b c", cfg) == pytest.approx(1 / 3)
+
+    @given(_UNICODE_TEXT)
+    def test_equal_operands_score_the_weight_sum(self, text):
+        # The weights sum to 1 only within the accepted 1e-12, so a score
+        # of exactly 1.0 would change the bytes of every equal-field score.
+        cfg = ReliabilityConfig(jaccard_weight=0.4, seq_weight=0.6 + 1e-13)
+        assert cfg.jaccard_weight + cfg.seq_weight != 1.0
+        assert soft_sim(text, text, cfg) == cfg.jaccard_weight + cfg.seq_weight
+        assert soft_sim(text, normalize(text), cfg) == cfg.jaccard_weight + cfg.seq_weight
 
 
 class TestReliabilityConfig:
