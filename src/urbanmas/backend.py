@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
+from .domain import http_request
 from .errors import (
     AuthenticationError,
     CassetteFormatError,
@@ -392,7 +393,12 @@ class CassetteBackend(ChatBackend):
 # --------------------------------------------------------------------------
 
 class RateLimiter:
-    """Token-bucket limiter for a requests-per-minute budget. Thread-safe."""
+    """Token-bucket limiter for a requests-per-minute budget. Thread-safe.
+
+    The bucket holds one second's budget (at least one token), so a burst,
+    such as the retries after an outage, is spread over the minute instead
+    of released at once.
+    """
 
     def __init__(
         self,
@@ -403,7 +409,7 @@ class RateLimiter:
         if requests_per_minute <= 0:
             raise ValueError("requests_per_minute must be positive")
         self._rate = requests_per_minute / 60.0
-        self._capacity = float(requests_per_minute)
+        self._capacity = max(1.0, self._rate)
         self._tokens = self._capacity
         self._clock = clock
         self._sleep = sleep
@@ -426,11 +432,8 @@ class RateLimiter:
 Transport = Callable[[str, Mapping[str, str], Mapping], tuple[int, str]]
 
 
-def _requests_transport(url: str, headers: Mapping[str, str], payload: Mapping) -> tuple[int, str]:
-    import requests
-
-    resp = requests.post(url, headers=dict(headers), json=payload, timeout=120)
-    return resp.status_code, resp.text
+def _http_post(url: str, headers: Mapping[str, str], payload: Mapping) -> tuple[int, str]:
+    return http_request(url, headers, timeout=120, data=json.dumps(payload).encode("utf-8"))
 
 
 def _image_part(ref: str) -> dict | None:
@@ -486,7 +489,7 @@ class LiveBackend(ChatBackend):
     def __init__(
         self,
         config: LiveConfig | None = None,
-        transport: Transport = _requests_transport,
+        transport: Transport = _http_post,
         sleep: Callable[[float], None] = time.sleep,
         rate_limiter: RateLimiter | None = None,
     ):

@@ -253,6 +253,29 @@ def write_json_atomic(path: Path, doc: object) -> None:
     write_text_atomic(path, [json.dumps(doc, ensure_ascii=False, indent=1)])
 
 
+def http_request(
+    url: str, headers: Mapping[str, str], timeout: float, data: bytes | None = None
+) -> tuple[int, str]:
+    """GET ``url``, or POST ``data`` to it; return ``(status, body)``, the
+    body decoded as UTF-8.
+
+    An HTTP error status is returned like a success, for the caller to
+    judge; connection errors and timeouts raise.
+    """
+    # Imported here: urllib.request loads ssl, a few MiB that offline runs never use.
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(url, data=data, headers=dict(headers))
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            status, raw = resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            status, raw = exc.code, exc.read()
+    return status, raw.decode("utf-8", errors="replace")
+
+
 def normalized_factor_name(name: str) -> str:
     """Factor names are deduplicated after lowercasing and trimming."""
     return name.strip().lower()

@@ -19,11 +19,12 @@ import logging
 import math
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .domain import LocationSample, PoiEntry, write_json_atomic
+from .domain import LocationSample, PoiEntry, http_request, write_json_atomic
 from .errors import EnrichmentError, OfflineMissError, UpstreamUnavailableError
 
 logger = logging.getLogger(__name__)
@@ -79,11 +80,10 @@ class IngestConfig:
 HttpGet = Callable[[str, Mapping[str, object]], tuple[int, str]]
 
 
-def _requests_get(url: str, params: Mapping[str, object]) -> tuple[int, str]:
-    import requests
-
-    resp = requests.get(url, params=dict(params), headers={"User-Agent": USER_AGENT}, timeout=30)
-    return resp.status_code, resp.text
+def _http_get(url: str, params: Mapping[str, object]) -> tuple[int, str]:
+    return http_request(
+        url + "?" + urllib.parse.urlencode(params), {"User-Agent": USER_AGENT}, timeout=30
+    )
 
 
 def _coord_key(lat: float, lon: float) -> str:
@@ -98,7 +98,7 @@ class GeoClient:
     calls for the ingest summary.
     """
 
-    def __init__(self, config: IngestConfig, http_get: HttpGet = _requests_get):
+    def __init__(self, config: IngestConfig, http_get: HttpGet = _http_get):
         self.config = config
         self._http_get = http_get
         self._throttle_lock = threading.Lock()

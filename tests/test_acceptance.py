@@ -343,8 +343,8 @@ class TestCriterion10OfflineGuarantee:
             attempts["count"] += 1
             raise AssertionError("network touched")
 
-        monkeypatch.setattr(geo_mod, "_requests_get", failing_network)
-        monkeypatch.setattr(backend_mod, "_requests_transport", failing_network)
+        monkeypatch.setattr(geo_mod, "_http_get", failing_network)
+        monkeypatch.setattr(backend_mod, "_http_post", failing_network)
 
         run_dir = tmp_path / "offline"
         run_dir.mkdir()

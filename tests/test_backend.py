@@ -365,12 +365,17 @@ class TestRateLimiter:
             clock["now"] += seconds
 
         limiter = RateLimiter(60, clock=lambda: clock["now"], sleep=fake_sleep)
-        # Burst capacity is one minute's budget; the 61st call must wait.
-        for _ in range(60):
-            limiter.acquire()
+        # Burst capacity is one second's budget, at least one call; the next waits.
+        limiter.acquire()
         assert not sleeps
         limiter.acquire()
-        assert sleeps and sleeps[0] == pytest.approx(1.0)
+        assert sleeps == [pytest.approx(1.0)]
+        fast = RateLimiter(600, clock=lambda: clock["now"], sleep=fake_sleep)
+        for _ in range(10):
+            fast.acquire()
+        assert len(sleeps) == 1
+        fast.acquire()
+        assert sleeps[1] == pytest.approx(0.1)
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
@@ -382,7 +387,8 @@ def _ok_body(text: str = "hello") -> str:
 
 
 def live(transport, **cfg_overrides) -> LiveBackend:
-    cfg = LiveConfig(api_base="https://api.test/v1", api_key="k", model="m")
+    # The token bucket sleeps in real time; this budget keeps it from waiting.
+    cfg = LiveConfig(api_base="https://api.test/v1", api_key="k", model="m", requests_per_minute=60000)
     for key, value in cfg_overrides.items():
         setattr(cfg, key, value)
     return LiveBackend(cfg, transport=transport, sleep=lambda s: None)
@@ -414,7 +420,7 @@ class TestLiveBackend:
                 return 503, "upstream sad"
             return 200, _ok_body()
 
-        cfg = LiveConfig(api_base="https://api.test/v1", api_key="k", model="m")
+        cfg = LiveConfig(api_base="https://api.test/v1", api_key="k", model="m", requests_per_minute=60000)
         backend = LiveBackend(cfg, transport=transport, sleep=sleeps.append)
         assert backend.complete(req()).text == "hello"
         assert len(calls) == 3

@@ -107,12 +107,20 @@ class TestRunConfig:
             ({"poi_radius_m": "far"}, "poi_radius_m"),
             ({"poi_limit": 0}, "poi_limit"),
             ({"requests_per_minute": "fast"}, "requests_per_minute"),
+            ({"reliability": {"threshold": "high"}}, "reliability: threshold"),
+            ({"reliability": {"threshold": True}}, "reliability: threshold"),
+            ({"reliability": {"jaccard_weight": None}}, "reliability: jaccard_weight"),
+            ({"reliability": {"seq_weight": "0.6"}}, "reliability: seq_weight"),
+            ({"reliability": {"max_repair_rounds": 2.7}}, "reliability: max_repair_rounds"),
+            ({"reliability": {"max_repair_rounds": False}}, "reliability: max_repair_rounds"),
         ],
         ids=[
             "task-without-description", "workers-not-a-number", "threshold-not-a-number",
             "threshold-zero", "variants-not-a-list", "backend-unknown", "record-source-unknown",
             "replay-without-cassette", "radius-not-a-number", "poi-limit-zero",
-            "rate-not-a-number",
+            "rate-not-a-number", "threshold-names-its-field", "threshold-bool",
+            "jaccard-weight-null", "seq-weight-string", "repair-rounds-fractional",
+            "repair-rounds-bool",
         ],
     )
     def test_malformed_config_value_is_a_labelled_usage_error(self, tmp_path, capsys, doc, key):
