@@ -397,7 +397,9 @@ class RateLimiter:
 
     The bucket holds one second's budget (at least one token), so a burst,
     such as the retries after an outage, is spread over the minute instead
-    of released at once.
+    of released at once. A caller that finds the bucket empty reserves the
+    next token (the count goes below zero) and sleeps until it is due, so
+    waiting callers are served in arrival order and never re-poll.
     """
 
     def __init__(
@@ -417,15 +419,14 @@ class RateLimiter:
         self._lock = threading.Lock()
 
     def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = self._clock()
-                self._tokens = min(self._capacity, self._tokens + (now - self._last) * self._rate)
-                self._last = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) / self._rate
+        """Take the next token, sleeping once until it is due."""
+        with self._lock:
+            now = self._clock()
+            self._tokens = min(self._capacity, self._tokens + (now - self._last) * self._rate)
+            self._last = now
+            self._tokens -= 1.0
+            wait = -self._tokens / self._rate
+        if wait > 0:
             self._sleep(wait)
 
 
@@ -496,7 +497,7 @@ class LiveBackend(ChatBackend):
         self.config = config or LiveConfig.from_env()
         self._transport = transport
         self._sleep = sleep
-        self._limiter = rate_limiter or RateLimiter(self.config.requests_per_minute)
+        self._limiter = rate_limiter or RateLimiter(self.config.requests_per_minute, sleep=sleep)
         self._lock = threading.Lock()
         self.call_count = 0
 

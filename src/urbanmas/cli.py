@@ -42,7 +42,7 @@ from .evaluation import (
     write_reports_csv,
 )
 from .geo import GeoClient, IngestConfig
-from .guidance import guide
+from .guidance import factor_cache_path, guide
 from .pipeline import (
     GUIDED_VARIANTS,
     VARIANTS,
@@ -236,14 +236,14 @@ def _load_dataset(cfg: RunConfig) -> list[LocationSample]:
 def cmd_factors(cfg: RunConfig) -> int:
     backend = make_backend(cfg)
     write_manifest(cfg, "factors")
-    for task in cfg.resolve_tasks():
-        cache_path = Path(cfg.factor_dir) / f"factors_{task.id}.json"
-        had_cache = cache_path.exists()
-        factor_map = guide(task, backend, cache_path=cache_path, workers=cfg.workers)
-        source = "cache" if had_cache else cfg.backend
+    tasks = cfg.resolve_tasks()
+    cached = {t.id for t in tasks if factor_cache_path(cfg.factor_dir, t.id).exists()}
+    factor_maps = guide(tasks, backend, factor_dir=cfg.factor_dir, workers=cfg.workers)
+    for task in tasks:
+        source = "cache" if task.id in cached else cfg.backend
         print(f"task={task.id} (from {source})")
         for d, r in PAIRS:
-            fs = factor_map[(d, r)]
+            fs = factor_maps[task.id][(d, r)]
             print(f"  [{d.value}, {r.value}]")
             for i, factor in enumerate(fs.factors, 1):
                 print(f"    {i}. {factor.name}: {factor.description}")
@@ -296,7 +296,7 @@ def cmd_predict(cfg: RunConfig) -> int:
         from .guidance import load_factor_cache
 
         for task in tasks:
-            cache_path = Path(cfg.factor_dir) / f"factors_{task.id}.json"
+            cache_path = factor_cache_path(cfg.factor_dir, task.id)
             if not cache_path.exists():
                 raise ConfigError(
                     f"no factor cache for task {task.id!r} at {cache_path}; "

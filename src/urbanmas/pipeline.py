@@ -23,19 +23,17 @@ from typing import Iterable, Mapping, Sequence
 from .backend import ChatBackend
 from .domain import (
     Dimension,
-    FactorSet,
     Level,
     LocationSample,
     PAIRS,
     PredictionOutput,
     TaskSpec,
     pair_label,
-    write_json_atomic,
     write_text_atomic,
 )
 from .errors import ConfigError
 from .extraction import PairExtraction, extract_reliable
-from .guidance import generic_factor_map
+from .guidance import FactorMap, generic_factor_map
 from .inference import infer, infer_single_llm
 from .reliability import ReliabilityConfig
 
@@ -43,8 +41,6 @@ logger = logging.getLogger(__name__)
 
 VARIANTS = ("full", "no_factors", "no_reliability", "single_llm")
 GUIDED_VARIANTS = ("full", "no_reliability")
-
-FactorMap = Mapping[tuple[Dimension, Level], FactorSet]
 
 
 @dataclass(frozen=True)
@@ -212,12 +208,18 @@ def load_predictions(path: str | Path) -> list[PredictionOutput]:
 
 
 def write_audit(outcome: RunOutcome, audit_dir: str | Path) -> int:
-    """One transcript file per job under audit/<variant>/<task>/<location>.json."""
+    """One transcript file per job under audit/<variant>/<task>/<location>.json.
+
+    Each is one line of compact JSON: the C encoder writes it, where an
+    indented dump falls back to the pure-Python one at about three times
+    the cost. ``python -m json.tool <file>`` pretty-prints it.
+    """
     audit_dir = Path(audit_dir)
     for run in outcome.runs:
         pred = run.prediction
-        write_json_atomic(
-            audit_dir / pred.variant / pred.task_id / f"{pred.location_id}.json", run.audit_doc()
+        write_text_atomic(
+            audit_dir / pred.variant / pred.task_id / f"{pred.location_id}.json",
+            [json.dumps(run.audit_doc(), ensure_ascii=False)],
         )
     return len(outcome.runs)
 

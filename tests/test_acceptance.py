@@ -135,7 +135,7 @@ class TestCriterion4FactorLayerContract:
                 assert len(set(names)) == 6
                 assert validate_factor_set(fs) == []
 
-        check(guide(task, MockBackend()))
+        check(guide([task], MockBackend())[task.id])
 
         # Retry fixture: every summary answers 5 factors first, then 6 once
         # the violation feedback is appended to the prompt.
@@ -156,7 +156,7 @@ class TestCriterion4FactorLayerContract:
             lambda r: '"factors"' in r.user_prompt and "rejected" in r.user_prompt,
             factors_json(6),
         )
-        check(guide(task, retry_backend))
+        check(guide([task], retry_backend)[task.id])
         assert retry_backend.call_count == 4 + 8  # 4 research + (5-then-6) summaries
         _pass(4, "guide -> 4 sets x 6 distinct factors, including the 5-then-6 retry fixture")
 

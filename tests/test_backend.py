@@ -387,7 +387,7 @@ def _ok_body(text: str = "hello") -> str:
 
 
 def live(transport, **cfg_overrides) -> LiveBackend:
-    # The token bucket sleeps in real time; this budget keeps it from waiting.
+    # This budget keeps the token bucket from waiting.
     cfg = LiveConfig(api_base="https://api.test/v1", api_key="k", model="m", requests_per_minute=60000)
     for key, value in cfg_overrides.items():
         setattr(cfg, key, value)
@@ -425,6 +425,16 @@ class TestLiveBackend:
         assert backend.complete(req()).text == "hello"
         assert len(calls) == 3
         assert sleeps == [0.5, 1.0]
+
+    def test_token_bucket_waits_on_the_injected_sleep(self):
+        sleeps = []
+        cfg = LiveConfig(api_base="https://api.test/v1", api_key="k", model="m", requests_per_minute=60)
+        backend = LiveBackend(cfg, transport=lambda *_: (200, _ok_body()), sleep=sleeps.append)
+        started = time.monotonic()
+        backend.complete(req())
+        backend.complete(req())
+        assert sleeps == [pytest.approx(1.0, abs=0.01)]
+        assert time.monotonic() - started < 0.5
 
     def test_exhaustion_after_three_attempts(self):
         def transport(url, headers, payload):

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from urbanmas.backend import MockBackend
 from urbanmas.cli import RunConfig, load_config, main
+from urbanmas.domain import builtin_task
 from urbanmas.errors import ConfigError
 
 from conftest import FIXTURES
@@ -169,6 +171,61 @@ class TestFactorsCommand:
         empty.write_text("")
         assert run_cli("factors", "--backend", "replay", "--cassette", str(empty), *args) == 0
         assert "(from cache)" in capsys.readouterr().out
+
+    def test_a_failing_task_keeps_the_others_caches(self, workspace, capsys, monkeypatch):
+        running = builtin_task("running_amount")
+        factors = workspace / "factors"
+        args = (
+            "factors", "--tasks", "running_amount,boringness,liveliness",
+            "--factor-dir", str(factors), "--out", str(workspace / "out"),
+        )
+        failing = MockBackend()
+        failing.add_rule(
+            lambda r: "research analyst" in r.system_prompt
+            and running.description in r.user_prompt
+            and "social dimension" in r.user_prompt
+            and "street level" in r.user_prompt,
+            " ",
+        )
+        monkeypatch.setattr("urbanmas.cli.make_backend", lambda cfg: failing)
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert "running_amount/social_street: " in err
+        assert [p.name for p in sorted(factors.iterdir())] == [
+            "factors_boringness.json", "factors_liveliness.json",
+        ]
+
+        class RecordingBackend(MockBackend):
+            def __init__(self):
+                super().__init__()
+                self.requests = []
+
+            def complete(self, req):
+                self.requests.append(req)
+                return super().complete(req)
+
+        rerun = RecordingBackend()
+        monkeypatch.setattr("urbanmas.cli.make_backend", lambda cfg: rerun)
+        assert run_cli(*args) == 0
+        assert len(rerun.requests) == 4 * 2
+        assert all(running.description in r.user_prompt for r in rerun.requests)
+
+    def test_one_guide_call_for_all_tasks(self, workspace, monkeypatch):
+        import urbanmas.cli
+
+        calls = []
+        real_guide = urbanmas.cli.guide
+
+        def counting_guide(*args, **kwargs):
+            calls.append(args)
+            return real_guide(*args, **kwargs)
+
+        monkeypatch.setattr(urbanmas.cli, "guide", counting_guide)
+        assert run_cli(
+            "factors", "--backend", "mock", "--tasks", "running_amount,boringness,liveliness",
+            "--factor-dir", str(workspace / "factors"), "--out", str(workspace / "out"),
+        ) == 0
+        assert len(calls) == 1
 
     def test_bad_task_id_is_a_usage_error(self, workspace, capsys):
         code = run_cli(

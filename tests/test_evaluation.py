@@ -185,8 +185,7 @@ def run_and_score(dataset, task, variants, backend, factor_dir=None, workers=4):
     """Run the variant matrix for one task, then score it against the dataset truth."""
     factor_maps = {}
     if any(v in GUIDED_VARIANTS for v in variants):
-        cache = factor_dir / f"factors_{task.id}.json"
-        factor_maps[task.id] = guide(task, backend, cache_path=cache, workers=workers)
+        factor_maps = guide([task], backend, factor_dir=factor_dir, workers=workers)
     outcome = run_predictions(
         dataset, [task], variants, backend, factor_maps=factor_maps, workers=workers
     )

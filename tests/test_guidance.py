@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 
 import pytest
 
@@ -9,6 +10,7 @@ from urbanmas.errors import DegenerateReportError, GuidanceError, InvalidFactorS
 from urbanmas.guidance import (
     GENERIC_FACTORS,
     ResearchReport,
+    factor_cache_path,
     generic_factor_map,
     guide,
     load_factor_cache,
@@ -109,30 +111,51 @@ class TestSummarize:
 
 class TestGuide:
     def test_exactly_four_pairs(self, task):
-        factor_map = guide(task, MockBackend())
+        factor_map = guide([task], MockBackend())[task.id]
         assert set(factor_map) == set(PAIRS)
         for fs in factor_map.values():
             assert validate_factor_set(fs) == []
 
     def test_cache_round_trip_is_identical(self, task, tmp_path):
-        cache = tmp_path / "factors.json"
-        first = guide(task, MockBackend(), cache_path=cache)
-        assert cache.exists()
+        first = guide([task], MockBackend(), factor_dir=tmp_path)[task.id]
+        assert factor_cache_path(tmp_path, task.id).exists()
         # Second run must not need the backend at all.
         class ExplodingBackend(MockBackend):
             def complete(self, req):  # pragma: no cover - guard
                 raise AssertionError("backend used despite cache")
 
-        second = guide(task, ExplodingBackend(), cache_path=cache)
+        second = guide([task], ExplodingBackend(), factor_dir=tmp_path)[task.id]
         assert first == second
 
     def test_replay_guide_is_identical_across_worker_widths(self, task, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
-        recorded = guide(task, CassetteBackend(cassette, MockBackend()))
+        recorded = guide([task], CassetteBackend(cassette, MockBackend()))[task.id]
         replays = [
-            guide(task, CassetteBackend(cassette), workers=w) for w in (1, 4, 2)
+            guide([task], CassetteBackend(cassette), workers=w)[task.id] for w in (1, 4, 2)
         ]
         assert all(r == recorded for r in replays)
+
+    def test_chains_of_all_tasks_run_on_one_pool(self):
+        class BarrierBackend(MockBackend):
+            """Research calls wait until eight are in flight at once, then pass freely."""
+
+            def __init__(self):
+                super().__init__()
+                self._barrier = threading.Barrier(8, timeout=5)
+                self._passed = threading.Event()
+
+            def complete(self, req):
+                if "research analyst" in req.system_prompt and not self._passed.is_set():
+                    self._barrier.wait()
+                    self._passed.set()
+                return super().complete(req)
+
+        # One task has four chains; eight at once needs chains of several tasks.
+        tasks = [builtin_task(t) for t in ("running_amount", "boringness", "liveliness")]
+        backend = BarrierBackend()
+        factor_maps = guide(tasks, backend, workers=2)
+        assert list(factor_maps) == [t.id for t in tasks]
+        assert backend.call_count == 3 * 4 * 2
 
     def test_failing_pair_is_named(self, task):
         backend = MockBackend()
@@ -142,21 +165,20 @@ class TestGuide:
             " ",
         )
         with pytest.raises(GuidanceError, match="social_street"):
-            guide(task, backend)
+            guide([task], backend)
 
     def test_cache_for_wrong_task_is_rejected(self, task, tmp_path):
         cache = tmp_path / "factors.json"
-        factor_map = guide(task, MockBackend())
+        factor_map = guide([task], MockBackend())[task.id]
         save_factor_cache(cache, task, factor_map)
         with pytest.raises(GuidanceError, match="is for task"):
             load_factor_cache(cache, builtin_task("liveliness"))
 
     def test_cache_for_a_changed_task_spec_is_refused(self, task, tmp_path):
-        cache = tmp_path / "factors.json"
-        guide(task, MockBackend(), cache_path=cache)
+        guide([task], MockBackend(), factor_dir=tmp_path)
         changed = TaskSpec(task.id, task.description + " Count night runs only.", task.output_key)
         with pytest.raises(GuidanceError, match="delete it and run `urbanmas factors"):
-            guide(changed, MockBackend(), cache_path=cache)
+            guide([changed], MockBackend(), factor_dir=tmp_path)
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -168,15 +190,15 @@ class TestGuide:
         ids=["truncated", "not-an-object", "pair-without-level"],
     )
     def test_corrupt_cache_is_a_guidance_error_naming_the_file(self, task, tmp_path, corrupt):
-        cache = tmp_path / "factors.json"
-        guide(task, MockBackend(), cache_path=cache)
+        cache = factor_cache_path(tmp_path, task.id)
+        guide([task], MockBackend(), factor_dir=tmp_path)
         cache.write_text(corrupt(cache.read_text()))
         with pytest.raises(GuidanceError, match=re.escape(str(cache))):
-            guide(task, MockBackend(), cache_path=cache)
+            guide([task], MockBackend(), factor_dir=tmp_path)
 
     def test_interrupted_cache_write_keeps_the_old_cache(self, task, tmp_path, monkeypatch):
-        cache = tmp_path / "factors.json"
-        factor_map = guide(task, MockBackend(), cache_path=cache)
+        cache = factor_cache_path(tmp_path, task.id)
+        factor_map = guide([task], MockBackend(), factor_dir=tmp_path)[task.id]
         before = cache.read_bytes()
 
         def killed(src, dst):
@@ -189,7 +211,7 @@ class TestGuide:
 
     def test_cache_with_missing_pair_is_rejected(self, task, tmp_path):
         cache = tmp_path / "factors.json"
-        factor_map = guide(task, MockBackend())
+        factor_map = guide([task], MockBackend())[task.id]
         save_factor_cache(cache, task, factor_map)
         doc = json.loads(cache.read_text())
         doc["pairs"] = doc["pairs"][:3]

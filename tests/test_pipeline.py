@@ -5,7 +5,7 @@ import time
 import pytest
 
 from urbanmas.backend import MockBackend
-from urbanmas.domain import PAIRS, PredictionOutput
+from urbanmas.domain import PAIRS, PredictionOutput, builtin_task
 from urbanmas.errors import ConfigError
 from urbanmas.guidance import guide
 from urbanmas.pipeline import (
@@ -116,10 +116,11 @@ class TestWorkersBoundCallsInFlight:
         assert backend.peak == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_guide_keeps_at_most_one_call_per_worker(self, task, workers):
+    def test_guide_keeps_at_most_four_calls_per_worker(self, workers):
         backend = GaugedBackend()
-        guide(task, backend, workers=workers)
-        assert backend.peak <= workers
+        tasks = [builtin_task(t) for t in ("running_amount", "boringness", "liveliness")]
+        guide(tasks, backend, workers=workers)
+        assert backend.peak <= 4 * workers
 
 
 class TestRunArtifacts:
@@ -181,7 +182,7 @@ class TestRunArtifacts:
 
     def test_guided_map_from_guidance_layer_composes(self, dataset, task):
         backend = MockBackend()
-        factor_map = guide(task, backend)
+        factor_map = guide([task], backend)[task.id]
         outcome = run_predictions(
             dataset, [task], ("no_reliability",), backend, factor_maps={task.id: factor_map}
         )
