@@ -1,16 +1,18 @@
-"""Chat-completion backends: live HTTP, deterministic mock, and cassette record/replay.
+"""Chat-completion backends: live HTTP, deterministic mock, and the read-through store.
 
 Every agent call in the pipeline goes through :class:`ChatBackend.complete`,
 so swapping the model is a construction-time decision. The mock backend is a
 pure function of ``(system_prompt, user_prompt, variant_seed)`` and ships
 with a responder that understands the pipeline's prompt shapes, which makes
-whole runs executable offline with no fixtures. The cassette is append-only
-line-delimited JSON, one ``fingerprint -> response`` pair per line, and
-:class:`CassetteBackend` reads it through: replay serves only what is
-stored, while record asks its inner backend once per missing fingerprint,
-so a recording is replayed exactly, writes each fingerprint once, and
-resumes where an earlier recording stopped. Replay from a cassette is the
-only sanctioned path for CI.
+whole runs executable offline with no fixtures. :class:`CassetteBackend` is
+the one request-identity store: it asks its inner backend once per missing
+fingerprint. Replay gives it only a cassette (line-delimited JSON, one
+``fingerprint -> response`` pair per line), record a cassette and an inner
+backend, and live an inner backend and no file, so a live run pays once for
+each distinct request. A recording is replayed exactly, writes each
+fingerprint once, resumes where an earlier one stopped, and is rewritten in
+fingerprint order when it closes. Replay from a cassette is the only
+sanctioned path for CI.
 
 Environment for the live backend: ``URBANMAS_API_KEY``, ``URBANMAS_API_BASE``
 (OpenAI-compatible chat-completions endpoint) and ``URBANMAS_MODEL``.
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .domain import http_request
+from .domain import http_request, write_text_atomic
 from .errors import (
     AuthenticationError,
     CassetteFormatError,
@@ -108,6 +110,9 @@ class ChatBackend:
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Finish the run's use of the backend; nothing to do by default."""
 
 
 # --------------------------------------------------------------------------
@@ -281,19 +286,20 @@ class MockBackend(ChatBackend):
 # --------------------------------------------------------------------------
 
 class CassetteBackend(ChatBackend):
-    """Read-through fingerprint -> response store over an append-only cassette.
+    """Read-through fingerprint -> response store, over a cassette or in memory.
 
-    The cassette is loaded once. A hit serves the stored response. A miss
-    without an ``inner`` backend is a :class:`ReplayMissError` (replay); with
-    one, the inner backend is called once per fingerprint, the response is
-    appended, and every caller with that fingerprint gets that same response,
-    concurrent ones included (record). A failed inner call stores nothing.
-    An unterminated last line that does not parse is an append cut short: it
-    is dropped with a warning, and record cuts it off before appending.
+    A cassette (``path`` not None) is loaded once. A hit serves the stored
+    response. A miss without an ``inner`` backend is a :class:`ReplayMissError`
+    (replay); with one, the inner backend is called once per fingerprint, the
+    response is stored and appended to the cassette, if any, and every caller
+    with that fingerprint gets that same response, concurrent ones included
+    (record, live). A failed inner call stores nothing. An unterminated last
+    line that does not parse is an append cut short: it is dropped with a
+    warning, and record cuts it off before appending.
     """
 
-    def __init__(self, path: str | Path, inner: ChatBackend | None = None):
-        self.path = Path(path)
+    def __init__(self, path: str | Path | None, inner: ChatBackend | None = None):
+        self.path = None if path is None else Path(path)
         self._inner = inner
         self.backend_id = "replay" if inner is None else "record"
         # Set when the cassette does not end in a whole line: (cut to, first append's prefix).
@@ -301,14 +307,14 @@ class CassetteBackend(ChatBackend):
         self._entries = self._load()
         self._in_flight: dict[str, Future] = {}
         self._lock = threading.Lock()
-        self.call_count = 0
+        self._appended = False
 
     def _served(self, text: str, latency_ms: float) -> ChatResponse:
         return ChatResponse(text=text, latency_ms=latency_ms, backend_id=self.backend_id)
 
     def _load(self) -> dict[str, ChatResponse]:
         entries: dict[str, ChatResponse] = {}
-        if not self.path.exists():
+        if self.path is None or not self.path.exists():
             return entries
         end = 0
         with open(self.path, "rb") as fh:
@@ -339,7 +345,6 @@ class CassetteBackend(ChatBackend):
     def complete(self, req: ChatRequest) -> ChatResponse:
         fp = fingerprint(req)
         with self._lock:
-            self.call_count += 1
             stored = self._entries.get(fp)
             if stored is not None:
                 return stored
@@ -370,13 +375,15 @@ class CassetteBackend(ChatBackend):
                 ensure_ascii=False,
             )
             with self._lock:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                if self._mend is not None:
-                    os.truncate(self.path, self._mend[0])
-                    line = self._mend[1] + line
-                    self._mend = None
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
+                if self.path is not None:
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                    if self._mend is not None:
+                        os.truncate(self.path, self._mend[0])
+                        line = self._mend[1] + line
+                        self._mend = None
+                    with open(self.path, "a", encoding="utf-8") as fh:
+                        fh.write(line + "\n")
+                    self._appended = True
                 self._entries[fp] = served
                 del self._in_flight[fp]
         except BaseException as exc:
@@ -386,6 +393,18 @@ class CassetteBackend(ChatBackend):
             raise
         pending.set_result(served)
         return served
+
+    def close(self) -> None:
+        """Rewrite a cassette this run appended to: one line per fingerprint,
+        the last one, sorted by fingerprint, so a finished recording does not
+        depend on the order its calls completed in."""
+        with self._lock:
+            if not self._appended:
+                return
+            with open(self.path, encoding="utf-8", newline="") as fh:
+                lines = {json.loads(line)["fingerprint"]: line for line in fh if line.strip()}
+            write_text_atomic(self.path, [lines[fp] for fp in sorted(lines)])
+            self._appended = False
 
 
 # --------------------------------------------------------------------------
@@ -459,8 +478,6 @@ class LiveConfig:
     model: str = ""
     temperature: float | None = None
     top_p: float | None = None
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    backoff_base_s: float = DEFAULT_BACKOFF_BASE_S
     requests_per_minute: float = 60.0
 
     @classmethod
@@ -490,16 +507,14 @@ class LiveBackend(ChatBackend):
     def __init__(
         self,
         config: LiveConfig | None = None,
-        transport: Transport = _http_post,
+        transport: Transport | None = None,
         sleep: Callable[[float], None] = time.sleep,
         rate_limiter: RateLimiter | None = None,
     ):
         self.config = config or LiveConfig.from_env()
-        self._transport = transport
+        self._transport = transport or _http_post
         self._sleep = sleep
         self._limiter = rate_limiter or RateLimiter(self.config.requests_per_minute, sleep=sleep)
-        self._lock = threading.Lock()
-        self.call_count = 0
 
     def _payload(self, req: ChatRequest) -> dict:
         if req.image_refs:
@@ -537,19 +552,17 @@ class LiveBackend(ChatBackend):
         payload = self._payload(req)
         last_error: str = ""
         attempts_made = 0
-        for attempt in range(self.config.max_attempts):
+        for attempt in range(DEFAULT_MAX_ATTEMPTS):
             if attempt:
-                self._sleep(self.config.backoff_base_s * (2 ** (attempt - 1)))
+                self._sleep(DEFAULT_BACKOFF_BASE_S * (2 ** (attempt - 1)))
             attempts_made += 1
             self._limiter.acquire()
-            with self._lock:
-                self.call_count += 1
             started = time.monotonic()
             try:
                 status, body = self._transport(url, headers, payload)
             except Exception as exc:
                 last_error = f"transport error: {exc}"
-                logger.warning("attempt %d/%d failed: %s", attempt + 1, self.config.max_attempts, last_error)
+                logger.warning("attempt %d/%d failed: %s", attempt + 1, DEFAULT_MAX_ATTEMPTS, last_error)
                 continue
             elapsed_ms = (time.monotonic() - started) * 1000.0
             if status in (401, 403):
@@ -559,7 +572,7 @@ class LiveBackend(ChatBackend):
                     text = json.loads(body)["choices"][0]["message"]["content"]
                 except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
                     last_error = f"malformed completion body: {exc}"
-                    logger.warning("attempt %d/%d failed: %s", attempt + 1, self.config.max_attempts, last_error)
+                    logger.warning("attempt %d/%d failed: %s", attempt + 1, DEFAULT_MAX_ATTEMPTS, last_error)
                     continue
                 return ChatResponse(
                     text=text if isinstance(text, str) else json.dumps(text),
@@ -569,7 +582,7 @@ class LiveBackend(ChatBackend):
             last_error = f"HTTP {status}: {body[:200]}"
             if status not in (408, 409, 429) and status < 500:
                 break
-            logger.warning("attempt %d/%d failed: %s", attempt + 1, self.config.max_attempts, last_error)
+            logger.warning("attempt %d/%d failed: %s", attempt + 1, DEFAULT_MAX_ATTEMPTS, last_error)
         raise TransportExhaustedError(
             f"gave up after {attempts_made} attempt(s): {last_error}"
         )

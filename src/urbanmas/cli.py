@@ -168,10 +168,18 @@ def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
 
 
 def make_backend(cfg: RunConfig) -> ChatBackend:
+    """The pure mock for ``mock``; otherwise one read-through store.
+
+    ``replay`` serves the cassette only; ``record`` asks ``--record-source``
+    on a miss and appends to the cassette; ``live`` asks the endpoint on a
+    miss and keeps the store in memory, so it ignores ``--cassette``.
+    """
     if cfg.backend == "mock":
         return MockBackend()
     if cfg.backend == "replay":
         return CassetteBackend(cfg.cassette)
+    if cfg.backend == "record" and cfg.record_source == "mock":
+        return CassetteBackend(cfg.cassette, MockBackend())
     live_cfg = LiveConfig.from_env(
         model=cfg.model,
         api_base=cfg.api_base,
@@ -179,10 +187,7 @@ def make_backend(cfg: RunConfig) -> ChatBackend:
         top_p=cfg.top_p,
         requests_per_minute=cfg.requests_per_minute,
     )
-    if cfg.backend == "live":
-        return LiveBackend(live_cfg)
-    inner: ChatBackend = MockBackend() if cfg.record_source == "mock" else LiveBackend(live_cfg)
-    return CassetteBackend(cfg.cassette, inner)
+    return CassetteBackend(cfg.cassette if cfg.backend == "record" else None, LiveBackend(live_cfg))
 
 
 def _sha256_file(path: str | Path) -> str:
@@ -238,7 +243,10 @@ def cmd_factors(cfg: RunConfig) -> int:
     write_manifest(cfg, "factors")
     tasks = cfg.resolve_tasks()
     cached = {t.id for t in tasks if factor_cache_path(cfg.factor_dir, t.id).exists()}
-    factor_maps = guide(tasks, backend, factor_dir=cfg.factor_dir, workers=cfg.workers)
+    try:
+        factor_maps = guide(tasks, backend, factor_dir=cfg.factor_dir, workers=cfg.workers)
+    finally:
+        backend.close()  # only guide() appends to a cassette
     for task in tasks:
         source = "cache" if task.id in cached else cfg.backend
         print(f"task={task.id} (from {source})")
@@ -304,9 +312,12 @@ def cmd_predict(cfg: RunConfig) -> int:
                 )
             factor_maps[task.id] = load_factor_cache(cache_path, task)
 
-    outcome = run_predictions(
-        samples, tasks, cfg.variants, backend, cfg.reliability, factor_maps, workers=cfg.workers
-    )
+    try:
+        outcome = run_predictions(
+            samples, tasks, cfg.variants, backend, cfg.reliability, factor_maps, workers=cfg.workers
+        )
+    finally:
+        backend.close()
 
     out_dir = Path(cfg.out_dir)
     write_predictions(outcome.predictions, out_dir / "predictions.jsonl")

@@ -39,6 +39,10 @@ USER_AGENT = "urbanmas/0.1 (research pipeline)"
 # The key each kind of cache entry must hold.
 _CACHE_KEYS = {"reverse": "address", "pois": "elements", "streetview": "refs"}
 
+# Street-view metadata statuses for "no imagery here"; any other status but
+# OK (a quota or key refusal, a server error) says nothing about coverage.
+_NO_IMAGERY = ("ZERO_RESULTS", "NOT_FOUND")
+
 # Tag keys inspected, in order, to derive a POI category label.
 _CATEGORY_TAGS = (
     "amenity", "shop", "leisure", "tourism", "natural", "railway",
@@ -215,7 +219,11 @@ class GeoClient:
         return pois[: self.config.poi_limit]
 
     def streetview_refs(self, lat: float, lon: float) -> list[str]:
-        """Stable street-view image references; an empty list is valid."""
+        """Stable street-view image references; an empty list means no imagery.
+
+        A lookup the endpoint refused (any status but OK, ZERO_RESULTS or
+        NOT_FOUND) raises :class:`UpstreamUnavailableError` and is not cached.
+        """
         cached = self._cache_read("streetview", lat, lon)
         if cached is not None:
             return list(cached["refs"])
@@ -234,10 +242,13 @@ class GeoClient:
         except json.JSONDecodeError as exc:
             raise UpstreamUnavailableError(f"street-view endpoint returned unusable body: {exc}") from exc
         refs: list[str] = []
-        if meta.get("status") == "OK":
+        status = meta.get("status")
+        if status == "OK":
             pano = meta.get("pano_id", "")
             base = self.config.streetview_url.rsplit("/", 1)[0]
             refs.append(f"{base}?pano={pano}&size=640x640&key={self.config.streetview_api_key}")
+        elif status not in _NO_IMAGERY:
+            raise UpstreamUnavailableError(f"street-view endpoint answered status {status!r}")
         write_json_atomic(self._cache_path("streetview", lat, lon), {"refs": refs})
         return refs
 

@@ -296,9 +296,7 @@ def load_factor_cache(path: str | Path, task: TaskSpec) -> FactorMap:
 
 # Fixed placeholder factors for the no_factors ablation: the guided factor
 # sets are replaced with this generic six-factor set for every (dimension,
-# level) pair. Versioned so ablation runs stay reproducible.
-PLACEHOLDER_FACTORS_VERSION = 1
-
+# level) pair.
 GENERIC_FACTORS: tuple[PredictiveFactor, ...] = (
     PredictiveFactor("overall character", "General impression of the area around the location."),
     PredictiveFactor("activity level", "How much human activity is visible or expected."),

@@ -301,6 +301,46 @@ class TestReadThroughCassette:
         assert len(calls) == 2
         assert CassetteBackend(path).complete(req()).text == "answer"
 
+    def test_a_store_without_a_file_asks_once_per_fingerprint(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        inner = SamplingBackend()
+        store = CassetteBackend(None, inner)
+        first = [store.complete(req(user_prompt=p)).text for p in ("a", "b", "a", "b")]
+        store.close()
+        assert first[:2] == first[2:]
+        assert inner.call_count == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_close_rewrites_an_appended_cassette_in_fingerprint_order(self, tmp_path):
+        path = tmp_path / "cassette.jsonl"
+        prompts = ("c", "a", "b", "d")
+        recorder = CassetteBackend(path, SamplingBackend())
+        texts = [recorder.complete(req(user_prompt=p)).text for p in prompts]
+        # A duplicate fingerprint: loading and the rewrite both keep the last line.
+        newer = {"fingerprint": fingerprint(req(user_prompt="a")), "response": {"text": "newer"}}
+        with open(path, "a") as fh:
+            fh.write(json.dumps(newer) + "\n")
+        recorder.close()
+        lines = path.read_text().splitlines()
+        fps = [json.loads(line)["fingerprint"] for line in lines]
+        assert fps == sorted(fps) and len(set(fps)) == 4
+        replay = CassetteBackend(path)
+        texts[1] = "newer"
+        assert [replay.complete(req(user_prompt=p)).text for p in prompts] == texts
+
+    @pytest.mark.parametrize("inner", [None, MockBackend()], ids=["replay", "record-hits-only"])
+    def test_close_without_appends_writes_nothing(self, tmp_path, inner):
+        path = tmp_path / "cassette.jsonl"
+        for prompt in ("z", "a", "m"):
+            CassetteBackend(path, MockBackend()).complete(req(user_prompt=prompt))
+        recorded = path.read_bytes()
+        before = path.stat().st_mtime_ns
+        backend = CassetteBackend(path, inner)
+        backend.complete(req(user_prompt="a"))
+        backend.close()
+        assert path.read_bytes() == recorded
+        assert path.stat().st_mtime_ns == before
+
 
 class TestTornCassette:
     """A ``record`` run killed mid-append leaves an unterminated last line."""

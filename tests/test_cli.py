@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from urbanmas.backend import MockBackend
-from urbanmas.cli import RunConfig, load_config, main
+from urbanmas.backend import CassetteBackend, ChatRequest, MockBackend, deterministic_responder
+from urbanmas.cli import RunConfig, load_config, main, make_backend
 from urbanmas.domain import builtin_task
 from urbanmas.errors import ConfigError
 
@@ -502,6 +502,62 @@ class TestMultiTaskFlow:
             assert f"[{task_id}]" in out
         rows = (workspace / "out" / "reports.csv").read_text().splitlines()
         assert len(rows) == 1 + 3  # header + one (task, variant) row per task
+
+
+class TestLiveMode:
+    """``live`` reads through the same store as ``record``, held in memory."""
+
+    VARIANTS = ("--variant", "full", "--variant", "no_factors",
+                "--variant", "no_reliability", "--variant", "single_llm")
+
+    @pytest.fixture
+    def posted(self, workspace, monkeypatch) -> list[str]:
+        """Every payload POSTed, answered by the mock's responder instead of a network."""
+        posted: list[str] = []
+
+        def post(url, headers, payload):
+            posted.append(json.dumps(payload, sort_keys=True))
+            system, user = (m["content"] for m in payload["messages"])
+            if isinstance(user, list):  # text part, then image parts
+                user = user[0]["text"]
+            text = deterministic_responder(ChatRequest(system, user, variant_seed=payload["seed"]))
+            return 200, json.dumps({"choices": [{"message": {"content": text}}]})
+
+        monkeypatch.setattr("urbanmas.backend._http_post", post)
+        # Loopback, so a request that bypasses the fake never leaves the machine.
+        monkeypatch.setenv("URBANMAS_API_BASE", "http://127.0.0.1:9/v1")
+        monkeypatch.setenv("URBANMAS_API_KEY", "k")
+        (workspace / "run.json").write_text(json.dumps({"requests_per_minute": 1e6}))
+        return posted
+
+    def _run(self, workspace, command: str, backend: str, *extra: str) -> int:
+        return run_cli(
+            command, "--config", str(workspace / "run.json"), "--backend", backend,
+            "--tasks", "running_amount", "--factor-dir", str(workspace / "factors"),
+            "--out", str(workspace / f"out_{backend}"), "--workers", "2", *extra,
+        )
+
+    def test_each_distinct_request_is_posted_once(self, workspace, posted):
+        dataset = ("--dataset", str(workspace / "samples.jsonl"))
+        assert self._run(workspace, "factors", "live") == 0
+        assert self._run(workspace, "predict", "live", *dataset, *self.VARIANTS) == 0
+        assert posted and len(posted) == len(set(posted))
+        assert self._run(workspace, "predict", "mock", *dataset, *self.VARIANTS) == 0
+        for name in ("predictions.jsonl", "similarity_reports.jsonl"):
+            live_out = (workspace / "out_live" / name).read_bytes()
+            assert live_out == (workspace / "out_mock" / name).read_bytes(), name
+
+    def test_live_writes_no_cassette(self, workspace, posted):
+        cassette = workspace / "cassette.jsonl"
+        assert self._run(workspace, "factors", "live", "--cassette", str(cassette)) == 0
+        assert posted
+        assert not cassette.exists()
+
+    @pytest.mark.parametrize("mode", ["mock", "live", "record", "replay"])
+    def test_every_mode_but_mock_is_one_store(self, workspace, mode):
+        cfg = RunConfig(backend=mode, cassette=str(workspace / "cassette.jsonl"))
+        backend = make_backend(cfg)
+        assert type(backend) is (MockBackend if mode == "mock" else CassetteBackend)
 
 
 class TestExitCodes:

@@ -206,6 +206,29 @@ class TestStreetview:
         client = offline_client(tmp_path)
         assert client.streetview_refs(5.0, 6.0) == []
 
+    @staticmethod
+    def _answering(tmp_path, replies: list[dict]) -> GeoClient:
+        cfg = IngestConfig(cache_dir=tmp_path, min_request_interval_s=0.0)
+        return GeoClient(cfg, http_get=lambda url, params: (200, json.dumps(replies.pop(0))))
+
+    @pytest.mark.parametrize("status", ["ZERO_RESULTS", "NOT_FOUND"])
+    def test_no_imagery_is_cached_as_empty(self, tmp_path, status):
+        client = self._answering(tmp_path, [{"status": status}])
+        assert client.streetview_refs(5.0, 6.0) == []
+        assert client.streetview_refs(5.0, 6.0) == []
+        assert client.network_calls == 1
+
+    def test_refused_lookup_is_an_error_and_is_asked_again(self, tmp_path):
+        client = self._answering(
+            tmp_path, [{"status": "OVER_QUERY_LIMIT"}, {"status": "OK", "pano_id": "p1"}]
+        )
+        with pytest.raises(UpstreamUnavailableError, match="OVER_QUERY_LIMIT"):
+            client.streetview_refs(5.0, 6.0)
+        assert list(tmp_path.iterdir()) == []
+        [ref] = client.streetview_refs(5.0, 6.0)
+        assert "pano=p1" in ref
+        assert client.network_calls == 2
+
 
 class TestEnrich:
     def test_fresh_sample_fully_enriched_from_fixtures(self, geocache_dir):

@@ -7,8 +7,11 @@ gate decision or output format shows up as a diff across commits.
 
 The set under ``tests/fixtures/golden/`` was recorded from the mock backend:
 ``factors``, then ``predict`` on ``tests/fixtures/samples.jsonl`` for task
-``running_amount`` and all four variants. Regenerate it from the repository
-root, only when an output change is intended::
+``running_amount`` and all four variants. ``record`` leaves the cassette
+sorted by fingerprint, so these commands reproduce every committed file
+byte for byte, at any ``--workers``; the second test checks that for the
+cassette. Regenerate the set from the repository root, only when an output
+change is intended::
 
     G=tests/fixtures/golden; OUT=$(mktemp -d); export PYTHONPATH=src
     rm -rf $G/cassette.jsonl $G/factors
@@ -64,3 +67,18 @@ def test_replay_of_the_golden_cassette_reproduces_the_pinned_outputs(tmp_path):
     for name in ("predictions.jsonl", "similarity_reports.jsonl"):
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
     assert audit_digest(out / "audit") == (GOLDEN / "audit.sha256").read_text().strip()
+
+
+def test_recording_at_any_width_reproduces_the_committed_cassette(tmp_path):
+    dataset = str(FIXTURES / "samples.jsonl")
+    recorded = []
+    for workers in ("1", "4"):
+        run = tmp_path / f"workers_{workers}"
+        cassette = run / "cassette.jsonl"
+        common = ["--backend", "record", "--record-source", "mock", "--cassette", str(cassette),
+                  "--tasks", "running_amount", "--factor-dir", str(run / "factors"),
+                  "--out", str(run / "out"), "--workers", workers]
+        assert main(["factors", *common]) == 0
+        assert main(["predict", *common, "--dataset", dataset, *VARIANT_FLAGS]) == 0
+        recorded.append(cassette.read_bytes())
+    assert recorded[0] == recorded[1] == (GOLDEN / "cassette.jsonl").read_bytes()

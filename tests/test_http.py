@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from urbanmas.backend import ChatRequest, LiveBackend, LiveConfig
+from urbanmas.backend import DEFAULT_BACKOFF_BASE_S, ChatRequest, LiveBackend, LiveConfig
 from urbanmas.errors import AuthenticationError, TransportExhaustedError
 from urbanmas.geo import USER_AGENT, GeoClient, IngestConfig
 
@@ -113,7 +113,7 @@ class TestLivePost:
         backend = live(server.base, sleeps := [])
         assert backend.complete(req()).text == "fine, café"
         assert len(server.received) == 2
-        assert sleeps == [backend.config.backoff_base_s]
+        assert sleeps == [DEFAULT_BACKOFF_BASE_S]
 
     def test_401_fails_after_one_request(self, server):
         server.replies = [(401, '{"error": "bad key"}')]
