@@ -147,9 +147,8 @@ def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
             TaskSpec(**_known_keys(t, TaskSpec)) for t in data.pop("custom_tasks", ())
         )
         key = "reliability: "
-        reliability = ReliabilityConfig.from_dict(
-            _known_keys(data.pop("reliability", {}), ReliabilityConfig)
-        )
+        section = data.pop("reliability", {})
+        reliability = ReliabilityConfig(**_known_keys(section, ReliabilityConfig))
         for name in ("tasks", "variants"):
             key = f"{name}: "
             if isinstance(data.get(name), str):

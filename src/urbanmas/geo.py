@@ -36,8 +36,13 @@ DEFAULT_OVERPASS_URL = "https://overpass-api.de/api/interpreter"
 DEFAULT_STREETVIEW_URL = "https://maps.googleapis.com/maps/api/streetview/metadata"
 USER_AGENT = "urbanmas/0.1 (research pipeline)"
 
-# The key each kind of cache entry must hold.
-_CACHE_KEYS = {"reverse": "address", "pois": "elements", "streetview": "refs"}
+# Per kind of cache entry: the key it holds and the shape its value must
+# have, checked on every read and before every write.
+_CACHE_SHAPES: dict[str, tuple[str, Callable[[object], bool]]] = {
+    "reverse": ("address", lambda v: isinstance(v, str)),
+    "pois": ("elements", lambda v: isinstance(v, list) and all(map(_is_poi_entry, v))),
+    "streetview": ("refs", lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v)),
+}
 
 # Street-view metadata statuses for "no imagery here"; any other status but
 # OK (a quota or key refusal, a server error) says nothing about coverage.
@@ -117,26 +122,36 @@ class GeoClient:
     def _cache_path(self, kind: str, lat: float, lon: float) -> Path:
         return self.config.cache_dir / f"{kind}_{_coord_key(lat, lon)}.json"
 
-    def _cache_read(self, kind: str, lat: float, lon: float) -> dict | None:
+    def _cache_read(self, kind: str, lat: float, lon: float) -> object | None:
         path = self._cache_path(kind, lat, lon)
-        data = None
+        key, valid = _CACHE_SHAPES[kind]
+        value = None
         if path.exists():
             try:
-                data = json.loads(path.read_text(encoding="utf-8"))
-            except ValueError:
+                value = json.loads(path.read_text(encoding="utf-8"))[key]
+            except (ValueError, KeyError, TypeError):
                 pass
-            if not isinstance(data, dict) or _CACHE_KEYS[kind] not in data:
+            if not valid(value):
                 logger.warning("ignoring corrupt geo cache entry %s", path)
-                data = None
+                value = None
         with self._stats_lock:
-            if data is None:
+            if value is None:
                 self.cache_misses += 1
             else:
                 self.cache_hits += 1
-        return data
+        return value
 
-    def _fetch(self, url: str, params: Mapping[str, object]) -> str:
-        """Rate-limited GET against an upstream; exceptions become upstream errors."""
+    def _lookup(
+        self, kind: str, lat: float, lon: float,
+        url: str, params: Mapping[str, object], parse: Callable[[dict], object],
+    ) -> object:
+        """The cached value, or one rate-limited GET whose body ``parse`` turns
+        into the value to cache; an unusable body is an upstream failure."""
+        value = self._cache_read(kind, lat, lon)
+        if value is not None:
+            return value
+        if self.config.offline:
+            raise OfflineMissError(f"no cached {kind} entry for {_coord_key(lat, lon)}")
         with self._throttle_lock:
             wait = self.config.min_request_interval_s - (time.monotonic() - self._last_request)
             if wait > 0:
@@ -150,58 +165,38 @@ class GeoClient:
             raise UpstreamUnavailableError(f"{url}: {exc}") from exc
         if status != 200:
             raise UpstreamUnavailableError(f"{url}: HTTP {status}")
-        return body
+        key, valid = _CACHE_SHAPES[kind]
+        try:
+            doc = json.loads(body)
+            if not isinstance(doc, dict):
+                raise TypeError(f"not a JSON object: {doc!r:.40}")
+            value = parse(doc)
+            if not valid(value):
+                raise TypeError(f"malformed {key}: {value!r:.40}")
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise UpstreamUnavailableError(
+                f"{url} returned an unusable body: {type(exc).__name__}: {exc}"
+            ) from exc
+        write_json_atomic(self._cache_path(kind, lat, lon), {key: value})
+        return value
 
     # -- operations ----------------------------------------------------------
 
     def reverse_geocode(self, lat: float, lon: float) -> str:
         """Resolve coordinates to a human-readable address string."""
-        cached = self._cache_read("reverse", lat, lon)
-        if cached is not None:
-            return cached["address"]
-        if self.config.offline:
-            raise OfflineMissError(f"no cached address for {_coord_key(lat, lon)}")
-        body = self._fetch(
-            self.config.geocoder_url,
-            {"lat": lat, "lon": lon, "format": "jsonv2"},
+        params = {"lat": lat, "lon": lon, "format": "jsonv2"}
+        return self._lookup(
+            "reverse", lat, lon, self.config.geocoder_url, params, lambda doc: doc["display_name"]
         )
-        try:
-            address = json.loads(body)["display_name"]
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise UpstreamUnavailableError(f"geocoder returned unusable body: {exc}") from exc
-        write_json_atomic(self._cache_path("reverse", lat, lon), {"address": address})
-        return address
 
     def nearby_pois(self, lat: float, lon: float) -> list[PoiEntry]:
         """Named POIs within the configured radius, closest first."""
-        cached = self._cache_read("pois", lat, lon)
-        if cached is not None:
-            raw = cached["elements"]
-        elif self.config.offline:
-            raise OfflineMissError(f"no cached POIs for {_coord_key(lat, lon)}")
-        else:
-            query = (
-                f"[out:json][timeout:25];"
-                f'node(around:{self.config.poi_radius_m:.0f},{lat},{lon})["name"];'
-                f"out qt;"
-            )
-            body = self._fetch(self.config.overpass_url, {"data": query})
-            try:
-                elements = json.loads(body)["elements"]
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise UpstreamUnavailableError(f"POI endpoint returned unusable body: {exc}") from exc
-            raw = [
-                {
-                    "name": el.get("tags", {}).get("name", ""),
-                    "category": _category(el.get("tags", {})),
-                    "lat": el.get("lat"),
-                    "lon": el.get("lon"),
-                }
-                for el in elements
-                if el.get("lat") is not None and el.get("lon") is not None
-            ]
-            write_json_atomic(self._cache_path("pois", lat, lon), {"elements": raw})
-
+        query = (
+            f"[out:json][timeout:25];"
+            f'node(around:{self.config.poi_radius_m:.0f},{lat},{lon})["name"];'
+            f"out qt;"
+        )
+        raw = self._lookup("pois", lat, lon, self.config.overpass_url, {"data": query}, _poi_entries)
         pois = []
         for entry in raw:
             if not entry.get("name"):
@@ -224,33 +219,23 @@ class GeoClient:
         A lookup the endpoint refused (any status but OK, ZERO_RESULTS or
         NOT_FOUND) raises :class:`UpstreamUnavailableError` and is not cached.
         """
-        cached = self._cache_read("streetview", lat, lon)
-        if cached is not None:
-            return list(cached["refs"])
-        if self.config.offline:
+        url, key = self.config.streetview_url, self.config.streetview_api_key
+
+        def parse(meta: dict) -> list[str]:
+            status = meta.get("status")
+            if status == "OK":
+                base = url.rsplit("/", 1)[0]
+                return [f"{base}?pano={meta.get('pano_id', '')}&size=640x640&key={key}"]
+            if status in _NO_IMAGERY:
+                return []
+            raise UpstreamUnavailableError(f"{url} answered status {status!r}")
+
+        params = {"location": f"{lat},{lon}", "key": key}
+        try:
+            return self._lookup("streetview", lat, lon, url, params, parse)
+        except OfflineMissError:
             # No coverage recorded is not an error: imagery is optional downstream.
             return []
-        body = self._fetch(
-            self.config.streetview_url,
-            {
-                "location": f"{lat},{lon}",
-                "key": self.config.streetview_api_key,
-            },
-        )
-        try:
-            meta = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise UpstreamUnavailableError(f"street-view endpoint returned unusable body: {exc}") from exc
-        refs: list[str] = []
-        status = meta.get("status")
-        if status == "OK":
-            pano = meta.get("pano_id", "")
-            base = self.config.streetview_url.rsplit("/", 1)[0]
-            refs.append(f"{base}?pano={pano}&size=640x640&key={self.config.streetview_api_key}")
-        elif status not in _NO_IMAGERY:
-            raise UpstreamUnavailableError(f"street-view endpoint answered status {status!r}")
-        write_json_atomic(self._cache_path("streetview", lat, lon), {"refs": refs})
-        return refs
 
     def enrich(self, sample: LocationSample) -> LocationSample:
         """Populate address, POIs and street-view refs on a copy of the sample.
@@ -289,6 +274,28 @@ class GeoClient:
         if len(failures) == 3:
             raise EnrichmentError(f"all upstreams failed for {sample.id}: {'; '.join(failures)}")
         return replace(sample, address=address, pois=pois, streetview_refs=refs)
+
+
+def _poi_entries(doc: Mapping) -> list[dict]:
+    """Overpass elements as POI cache entries: name, category and coordinates."""
+    return [
+        {
+            "name": el.get("tags", {}).get("name", ""),
+            "category": _category(el.get("tags", {})),
+            "lat": el.get("lat"),
+            "lon": el.get("lon"),
+        }
+        for el in doc["elements"]
+        if el.get("lat") is not None and el.get("lon") is not None
+    ]
+
+
+def _is_poi_entry(entry: object) -> bool:
+    return (
+        isinstance(entry, dict)
+        and all(type(entry.get(k)) in (int, float) for k in ("lat", "lon"))
+        and all(isinstance(entry.get(k, ""), str) for k in ("name", "category"))
+    )
 
 
 def _category(tags: Mapping[str, str]) -> str:

@@ -115,7 +115,9 @@ def research(
     )
 
 
-def _summary_request(task: TaskSpec, report: ResearchReport, feedback: str) -> ChatRequest:
+def _summary_request(
+    task: TaskSpec, report: ResearchReport, feedback: str, seed: int
+) -> ChatRequest:
     system = (
         "You distill urban research briefs into structured sets of "
         "predictive factors."
@@ -131,7 +133,8 @@ def _summary_request(task: TaskSpec, report: ResearchReport, feedback: str) -> C
     if feedback:
         user += f"\n\nYour previous factor set was rejected: {feedback}. Return a corrected JSON object."
     return ChatRequest(
-        system_prompt=system, user_prompt=user, response_format="structured_object"
+        system_prompt=system, user_prompt=user, response_format="structured_object",
+        variant_seed=seed,
     )
 
 
@@ -143,7 +146,7 @@ def summarize(
     """Compress a research brief into a validated six-factor set."""
     feedback = ""
     for attempt in range(1 + SUMMARY_RETRIES):
-        resp = backend.complete(_summary_request(task, report, feedback))
+        resp = backend.complete(_summary_request(task, report, feedback, seed=attempt))
         try:
             payload = extract_json_object(resp.text)
             raw_factors = payload.get("factors", [])

@@ -114,7 +114,8 @@ def _complete_schema_checked(
             )
         resp = backend.complete(
             ChatRequest(
-                system_prompt=_SYSTEM, user_prompt=prompt, response_format="structured_object"
+                system_prompt=_SYSTEM, user_prompt=prompt, response_format="structured_object",
+                variant_seed=attempt,
             )
         )
         try:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 import unicodedata
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from .domain import FieldValue, SimilarityReport, UrbanInfoRecord
 from .errors import FieldKeyMismatchError, RefinerError
@@ -58,31 +58,19 @@ class ReliabilityConfig:
     max_repair_rounds: int = DEFAULT_MAX_REPAIR_ROUNDS
 
     def __post_init__(self) -> None:
+        # Types first, so the range checks compare numbers; the manifest records 1 as 1.0.
+        for key in ("threshold", "jaccard_weight", "seq_weight"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{key}: must be a number, got {value!r}")
+            object.__setattr__(self, key, float(value))
+        rounds = self.max_repair_rounds
+        if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 1:
+            raise ValueError(f"max_repair_rounds: must be an integer >= 1, got {rounds!r}")
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError(f"threshold: must be in (0, 1], got {self.threshold!r}")
         if abs(self.jaccard_weight + self.seq_weight - 1.0) > 1e-12:
             raise ValueError("jaccard_weight + seq_weight must equal 1.0")
-        if self.max_repair_rounds < 1:
-            raise ValueError(f"max_repair_rounds: must be an integer >= 1, got {self.max_repair_rounds!r}")
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ReliabilityConfig":
-        """Build from a config section; a value of the wrong type raises a
-        ``ValueError`` that starts with the field's name."""
-        numbers = {}
-        for key, default in (
-            ("threshold", DEFAULT_THRESHOLD),
-            ("jaccard_weight", DEFAULT_JACCARD_WEIGHT),
-            ("seq_weight", DEFAULT_SEQ_WEIGHT),
-        ):
-            value = data.get(key, default)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{key}: must be a number, got {value!r}")
-            numbers[key] = float(value)
-        rounds = data.get("max_repair_rounds", DEFAULT_MAX_REPAIR_ROUNDS)
-        if isinstance(rounds, bool) or not isinstance(rounds, int):
-            raise ValueError(f"max_repair_rounds: must be an integer >= 1, got {rounds!r}")
-        return cls(max_repair_rounds=rounds, **numbers)
 
 
 class _RemovalTable(dict):

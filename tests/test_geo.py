@@ -172,6 +172,29 @@ class TestCorruptCacheEntry:
         with pytest.raises(OfflineMissError):
             offline_client(geocache_dir).nearby_pois(*TOKYO)
 
+    @pytest.mark.parametrize(
+        "kind, entry",
+        [
+            ("pois", {"elements": [1]}),
+            ("pois", {"elements": "ab"}),
+            ("pois", {"elements": [{"name": "x"}]}),
+            ("reverse", {"address": 5}),
+            ("streetview", {"refs": "abc"}),
+        ],
+    )
+    def test_entry_of_the_wrong_shape_is_a_miss(self, tmp_path, caplog, kind, entry):
+        path = tmp_path / f"{kind}_35.65860_139.74540.json"
+        path.write_text(json.dumps(entry))
+        client = offline_client(tmp_path)
+        if kind == "streetview":
+            assert client.streetview_refs(*TOKYO) == []
+        else:
+            lookup = client.nearby_pois if kind == "pois" else client.reverse_geocode
+            with pytest.raises(OfflineMissError):
+                lookup(*TOKYO)
+        assert f"ignoring corrupt geo cache entry {path}" in caplog.text
+        assert (client.cache_hits, client.cache_misses) == (0, 1)
+
     def test_online_read_rewrites_the_entry(self, tmp_path):
         path = tmp_path / self.POIS
         path.write_text('{"elements": [{"name": "Tok')
@@ -228,6 +251,49 @@ class TestStreetview:
         [ref] = client.streetview_refs(5.0, 6.0)
         assert "pano=p1" in ref
         assert client.network_calls == 2
+
+
+# Per upstream: a fragment of its default URL, which its errors name, a body
+# it answers well, and the warning enrich logs when it fails.
+UPSTREAMS = {
+    "reverse_geocode": ("reverse", {"display_name": "Addr"}, "address unavailable"),
+    "nearby_pois": ("interpreter", {"elements": []}, "POIs unavailable"),
+    "streetview_refs": ("streetview", {"status": "ZERO_RESULTS"}, "street-view unavailable"),
+}
+
+
+class TestUnusableBody:
+    CASES = [
+        *((method, body) for method in UPSTREAMS for body in ("[]", "null", '"x"', "{}")),
+        ("nearby_pois", '{"elements": [1]}'),
+    ]
+
+    @staticmethod
+    def _client(tmp_path, method: str, body: str) -> GeoClient:
+        """Answers ``body`` from ``method``'s upstream and well from the others."""
+
+        def fake_get(url, params):
+            if UPSTREAMS[method][0] in url:
+                return 200, body
+            return 200, json.dumps(next(good for frag, good, _ in UPSTREAMS.values() if frag in url))
+
+        cfg = IngestConfig(cache_dir=tmp_path, min_request_interval_s=0.0)
+        return GeoClient(cfg, http_get=fake_get)
+
+    @pytest.mark.parametrize("method, body", CASES)
+    def test_is_a_named_upstream_failure_and_is_not_cached(self, tmp_path, method, body):
+        client = self._client(tmp_path, method, body)
+        with pytest.raises(UpstreamUnavailableError, match=UPSTREAMS[method][0]):
+            getattr(client, method)(1.0, 2.0)
+        assert list(tmp_path.iterdir()) == []
+        assert client.network_calls == 1
+
+    @pytest.mark.parametrize("method, body", CASES)
+    def test_enrich_degrades_with_a_warning(self, tmp_path, caplog, method, body):
+        client = self._client(tmp_path, method, body)
+        with caplog.at_level("WARNING"):
+            client.enrich(LocationSample(id="x", latitude=1.0, longitude=2.0))
+        assert any(UPSTREAMS[method][2] in r.message for r in caplog.records)
 
 
 class TestEnrich:

@@ -101,6 +101,14 @@ class TestSummarize:
             summarize(_report(task), task, backend)
         assert backend.call_count == 3
 
+    def test_retries_through_the_store_are_new_generations(self, task):
+        answers = [_factors_json(5), _factors_json(5), _factors_json(6)]
+        inner = MockBackend()
+        inner.add_rule(lambda r: True, lambda r: answers.pop(0))
+        fs = summarize(_report(task), task, CassetteBackend(None, inner))
+        assert len(fs.factors) == 6
+        assert inner.call_count == 3
+
     def test_unparseable_output_is_fed_back(self, task):
         backend = MockBackend()
         backend.add_rule(lambda r: "rejected" not in r.user_prompt, "not json at all")

@@ -63,6 +63,14 @@ class TestInfer:
             infer(task, _records(), backend)
         assert backend.call_count == 4  # initial + 3 retries
 
+    def test_retries_through_the_store_are_new_generations(self, task):
+        answers = ["no structure here", "no structure here", json.dumps({"running_amount": 3.3})]
+        inner = MockBackend()
+        inner.add_rule(lambda r: True, lambda r: answers.pop(0))
+        pred = infer(task, _records(), CassetteBackend(None, inner))
+        assert pred.value == 3.3
+        assert inner.call_count == 3
+
     def test_three_records_are_rejected(self, task):
         with pytest.raises(MissingRecordsError, match="missing"):
             infer(task, _records()[:3], _answer_backend({"running_amount": 1.0}))
