@@ -1,46 +1,3 @@
 """Multi-agent zero-shot prediction pipeline for human-centered urban tasks."""
 
 __version__ = "0.1.0"
-
-from .domain import (
-    DEFAULT_TASKS,
-    Dimension,
-    FactorSet,
-    FieldValue,
-    Level,
-    LocationSample,
-    PAIRS,
-    PoiEntry,
-    PredictionOutput,
-    PredictiveFactor,
-    SimilarityReport,
-    TaskSpec,
-    UrbanInfoRecord,
-    validate_factor_set,
-)
-from .errors import UrbanMasError
-from .reliability import ReliabilityConfig, jaccard, normalize, seq_ratio, soft_sim
-
-__all__ = [
-    "DEFAULT_TASKS",
-    "Dimension",
-    "FactorSet",
-    "FieldValue",
-    "Level",
-    "LocationSample",
-    "PAIRS",
-    "PoiEntry",
-    "PredictionOutput",
-    "PredictiveFactor",
-    "ReliabilityConfig",
-    "SimilarityReport",
-    "TaskSpec",
-    "UrbanInfoRecord",
-    "UrbanMasError",
-    "__version__",
-    "jaccard",
-    "normalize",
-    "seq_ratio",
-    "soft_sim",
-    "validate_factor_set",
-]

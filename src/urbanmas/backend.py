@@ -249,7 +249,8 @@ Rule = tuple[Callable[[ChatRequest], bool], Callable[[ChatRequest], str]]
 
 
 class MockBackend(ChatBackend):
-    """Deterministic backend: a rule list consulted in order, then a default.
+    """Deterministic backend: a rule list consulted in order, then
+    :func:`deterministic_responder`.
 
     Responses are a pure function of the request and the configured rules,
     so outputs are independent of call order and concurrency schedule.
@@ -257,9 +258,8 @@ class MockBackend(ChatBackend):
 
     backend_id = "mock"
 
-    def __init__(self, default: Callable[[ChatRequest], str] = deterministic_responder):
+    def __init__(self):
         self._rules: list[Rule] = []
-        self._default = default
         self._lock = threading.Lock()
         self.call_count = 0
 
@@ -278,7 +278,7 @@ class MockBackend(ChatBackend):
         for predicate, responder in self._rules:
             if predicate(req):
                 return ChatResponse(text=responder(req), latency_ms=0.0, backend_id=self.backend_id)
-        return ChatResponse(text=self._default(req), latency_ms=0.0, backend_id=self.backend_id)
+        return ChatResponse(text=deterministic_responder(req), latency_ms=0.0, backend_id=self.backend_id)
 
 
 # --------------------------------------------------------------------------
@@ -506,12 +506,12 @@ class LiveBackend(ChatBackend):
 
     def __init__(
         self,
-        config: LiveConfig | None = None,
+        config: LiveConfig,
         transport: Transport | None = None,
         sleep: Callable[[float], None] = time.sleep,
         rate_limiter: RateLimiter | None = None,
     ):
-        self.config = config or LiveConfig.from_env()
+        self.config = config
         self._transport = transport or _http_post
         self._sleep = sleep
         self._limiter = rate_limiter or RateLimiter(self.config.requests_per_minute, sleep=sleep)
@@ -550,19 +550,16 @@ class LiveBackend(ChatBackend):
             "Content-Type": "application/json",
         }
         payload = self._payload(req)
-        last_error: str = ""
-        attempts_made = 0
-        for attempt in range(DEFAULT_MAX_ATTEMPTS):
-            if attempt:
-                self._sleep(DEFAULT_BACKOFF_BASE_S * (2 ** (attempt - 1)))
-            attempts_made += 1
+        for attempt in range(1, DEFAULT_MAX_ATTEMPTS + 1):
+            if attempt > 1:
+                logger.warning("attempt %d/%d failed: %s", attempt - 1, DEFAULT_MAX_ATTEMPTS, last_error)
+                self._sleep(DEFAULT_BACKOFF_BASE_S * (2 ** (attempt - 2)))
             self._limiter.acquire()
             started = time.monotonic()
             try:
                 status, body = self._transport(url, headers, payload)
             except Exception as exc:
                 last_error = f"transport error: {exc}"
-                logger.warning("attempt %d/%d failed: %s", attempt + 1, DEFAULT_MAX_ATTEMPTS, last_error)
                 continue
             elapsed_ms = (time.monotonic() - started) * 1000.0
             if status in (401, 403):
@@ -572,7 +569,6 @@ class LiveBackend(ChatBackend):
                     text = json.loads(body)["choices"][0]["message"]["content"]
                 except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
                     last_error = f"malformed completion body: {exc}"
-                    logger.warning("attempt %d/%d failed: %s", attempt + 1, DEFAULT_MAX_ATTEMPTS, last_error)
                     continue
                 return ChatResponse(
                     text=text if isinstance(text, str) else json.dumps(text),
@@ -582,7 +578,4 @@ class LiveBackend(ChatBackend):
             last_error = f"HTTP {status}: {body[:200]}"
             if status not in (408, 409, 429) and status < 500:
                 break
-            logger.warning("attempt %d/%d failed: %s", attempt + 1, DEFAULT_MAX_ATTEMPTS, last_error)
-        raise TransportExhaustedError(
-            f"gave up after {attempts_made} attempt(s): {last_error}"
-        )
+        raise TransportExhaustedError(f"gave up after {attempt} attempt(s): {last_error}")

@@ -17,41 +17,33 @@ class ConfigError(UrbanMasError):
 
 # --- chat backend ---------------------------------------------------------
 
-class BackendError(UrbanMasError):
-    """Base class for chat-backend failures."""
-
-
-class AuthenticationError(BackendError):
+class AuthenticationError(UrbanMasError):
     """The live endpoint rejected our credentials."""
 
 
-class TransportExhaustedError(BackendError):
+class TransportExhaustedError(UrbanMasError):
     """All retry attempts against the live endpoint failed."""
 
 
-class ReplayMissError(BackendError):
+class ReplayMissError(UrbanMasError):
     """The cassette holds no entry for the request fingerprint."""
 
 
-class CassetteFormatError(BackendError):
+class CassetteFormatError(UrbanMasError):
     """A cassette line is not a valid fingerprint -> response entry."""
 
 
 # --- geo ingestion --------------------------------------------------------
 
-class GeoError(UrbanMasError):
-    """Base class for geo-data ingestion failures."""
-
-
-class UpstreamUnavailableError(GeoError):
+class UpstreamUnavailableError(UrbanMasError):
     """A geo upstream (geocoder, POI, street-view) could not be reached."""
 
 
-class OfflineMissError(GeoError):
+class OfflineMissError(UrbanMasError):
     """Offline mode requested data that is not in the cache."""
 
 
-class EnrichmentError(GeoError):
+class EnrichmentError(UrbanMasError):
     """Every upstream failed while enriching a location."""
 
 
@@ -89,15 +81,11 @@ class RefinerError(ExtractionError):
 
 # --- inference ------------------------------------------------------------
 
-class InferenceError(UrbanMasError):
-    """Base class for prediction-inference failures."""
-
-
-class SchemaFailureError(InferenceError):
+class SchemaFailureError(UrbanMasError):
     """The model never produced the required output schema."""
 
 
-class MissingRecordsError(InferenceError):
+class MissingRecordsError(UrbanMasError):
     """Inference was invoked without the four dimension/level records."""
 
 

@@ -4,8 +4,8 @@ Three upstreams are consulted (a Nominatim-compatible reverse geocoder, an
 Overpass-compatible POI endpoint, and a street-view metadata endpoint), each
 behind a disk cache keyed by coordinates rounded to 5 decimal places (~1 m).
 With ``offline=True`` no network is ever touched: cache hits are served and
-misses raise :class:`OfflineMissError`. Live geocoder calls are spaced at
-least one second apart to respect public-service usage policies.
+misses raise :class:`OfflineMissError`. Only live geocoder calls are paced,
+at least one second apart, to respect the public service's usage policy.
 
 POI caches store raw entries (name, category, coordinates); distance,
 radius filtering and the result limit are applied on read so configuration
@@ -107,9 +107,9 @@ class GeoClient:
     calls for the ingest summary.
     """
 
-    def __init__(self, config: IngestConfig, http_get: HttpGet = _http_get):
+    def __init__(self, config: IngestConfig, http_get: HttpGet | None = None):
         self.config = config
-        self._http_get = http_get
+        self._http_get = http_get or _http_get
         self._throttle_lock = threading.Lock()
         self._last_request = 0.0
         self._stats_lock = threading.Lock()
@@ -145,20 +145,21 @@ class GeoClient:
         self, kind: str, lat: float, lon: float,
         url: str, params: Mapping[str, object], parse: Callable[[dict], object],
     ) -> object:
-        """The cached value, or one rate-limited GET whose body ``parse`` turns
-        into the value to cache; an unusable body is an upstream failure."""
+        """The cached value, or one GET (paced if geocoding) whose body ``parse``
+        turns into the value to cache; an unusable body is an upstream failure."""
         value = self._cache_read(kind, lat, lon)
         if value is not None:
             return value
         if self.config.offline:
             raise OfflineMissError(f"no cached {kind} entry for {_coord_key(lat, lon)}")
-        with self._throttle_lock:
-            wait = self.config.min_request_interval_s - (time.monotonic() - self._last_request)
-            if wait > 0:
-                time.sleep(wait)
-            self._last_request = time.monotonic()
-            with self._stats_lock:
-                self.network_calls += 1
+        if kind == "reverse":
+            with self._throttle_lock:
+                wait = self.config.min_request_interval_s - (time.monotonic() - self._last_request)
+                if wait > 0:
+                    time.sleep(wait)
+                self._last_request = time.monotonic()
+        with self._stats_lock:
+            self.network_calls += 1
         try:
             status, body = self._http_get(url, params)
         except Exception as exc:

@@ -21,6 +21,26 @@ from urbanmas.domain import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+
+def answer_every_upstream(url, params):
+    """A fake geo transport: an address, no POIs and no street-view imagery."""
+    if "reverse" in url:
+        return 200, json.dumps({"display_name": "Addr"})
+    if "interpreter" in url:
+        return 200, json.dumps({"elements": []})
+    return 200, json.dumps({"status": "ZERO_RESULTS"})
+
+
+@pytest.fixture
+def no_geo_network(monkeypatch):
+    """Fail the test if anything sends a real geo request."""
+
+    def no_network(*args, **kwargs):  # pragma: no cover - must never run
+        raise AssertionError("network touched")
+
+    monkeypatch.setattr("urbanmas.geo.http_request", no_network)
+
+
 FACTOR_NAMES = (
     "population density",
     "greenery coverage",

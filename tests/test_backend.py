@@ -484,6 +484,24 @@ class TestLiveBackend:
         with pytest.raises(TransportExhaustedError, match=r"3 attempt\(s\)"):
             backend.complete(req())
 
+    def test_malformed_bodies_are_retried(self):
+        bodies = ["not json", json.dumps({"choices": []}), _ok_body("third time")]
+        calls = []
+
+        def transport(url, headers, payload):
+            calls.append(1)
+            return 200, bodies[len(calls) - 1]
+
+        assert live(transport).complete(req()).text == "third time"
+        assert len(calls) == 3
+
+    def test_always_malformed_body_exhausts_the_retries(self):
+        backend = live(lambda *_: (200, json.dumps({"choices": [{}]})))
+        with pytest.raises(
+            TransportExhaustedError, match=r"gave up after 3 attempt\(s\): malformed completion body"
+        ):
+            backend.complete(req())
+
     def test_hard_http_error_does_not_burn_retries(self):
         calls = []
 
@@ -533,6 +551,36 @@ class TestLiveBackend:
         backend = LiveBackend(LiveConfig(api_base="", api_key=""), transport=transport)
         with pytest.raises(AuthenticationError):
             backend.complete(req())
+
+    @pytest.mark.parametrize("name, mime", [("view.png", "image/png"), ("view.jpg", "image/jpeg")])
+    def test_local_image_ref_is_sent_inline(self, tmp_path, name, mime):
+        image = tmp_path / name
+        image.write_bytes(b"\x89pixels")
+        payloads = []
+
+        def transport(url, headers, payload):
+            payloads.append(payload)
+            return 200, _ok_body()
+
+        live(transport).complete(req(image_refs=(str(image),)))
+        content = payloads[0]["messages"][1]["content"]
+        assert content == [
+            {"type": "text", "text": "user"},
+            {"type": "image_url", "image_url": {"url": f"data:{mime};base64,iXBpeGVscw=="}},
+        ]
+
+    def test_unusable_image_ref_is_dropped_with_a_warning(self, tmp_path, caplog):
+        payloads = []
+
+        def transport(url, headers, payload):
+            payloads.append(payload)
+            return 200, _ok_body()
+
+        missing = str(tmp_path / "missing.png")
+        with caplog.at_level("WARNING"):
+            live(transport).complete(req(image_refs=(missing,)))
+        assert payloads[0]["messages"][1]["content"] == [{"type": "text", "text": "user"}]
+        assert "dropping unusable image ref" in caplog.text and missing in caplog.text
 
     def test_env_configuration(self, monkeypatch):
         monkeypatch.setenv("URBANMAS_API_BASE", "https://env.test/v1")

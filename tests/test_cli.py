@@ -11,7 +11,7 @@ from urbanmas.cli import RunConfig, load_config, main, make_backend
 from urbanmas.domain import builtin_task
 from urbanmas.errors import ConfigError
 
-from conftest import FIXTURES
+from conftest import FIXTURES, answer_every_upstream
 
 
 @pytest.fixture
@@ -277,6 +277,32 @@ class TestIngestCommand:
         out = capsys.readouterr().out
         assert "with address: 3; with POIs: 2" in out
         assert str(pois) in caplog.text
+
+    @pytest.mark.parametrize(
+        "down, code, failed",
+        [(("35.6586",), 0, "failed completely: 1: ['tokyo_tower']"),
+         (("35.6586", "45.4642", "47.6087"), 1, "failed completely: 3")],
+        ids=["one-location", "every-location"],
+    )
+    def test_location_with_every_upstream_down(
+        self, workspace, capsys, monkeypatch, no_geo_network, down, code, failed
+    ):
+        import urbanmas.geo as geo_mod
+
+        def upstreams(url, params):
+            if any(lat in str(params) for lat in down):
+                return 503, "down"
+            return answer_every_upstream(url, params)
+
+        monkeypatch.setattr(geo_mod, "_http_get", upstreams)
+        monkeypatch.setattr(geo_mod.time, "sleep", lambda s: None)
+        assert run_cli(
+            "ingest",
+            "--dataset", str(workspace / "raw_samples.jsonl"),
+            "--cache-dir", str(workspace / "empty_cache"),
+            "--out", str(workspace / "out"),
+        ) == code
+        assert failed in capsys.readouterr().out
 
     def test_empty_dataset_is_an_error(self, workspace, capsys):
         empty = workspace / "empty.jsonl"

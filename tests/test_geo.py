@@ -6,6 +6,7 @@ from urbanmas.domain import LocationSample
 from urbanmas.errors import EnrichmentError, OfflineMissError, UpstreamUnavailableError
 from urbanmas.geo import GeoClient, IngestConfig, haversine_m
 
+from conftest import answer_every_upstream
 from oracles import brute_haversine_m
 
 TOKYO = (35.65860, 139.74540)
@@ -357,3 +358,46 @@ class TestEnrich:
         assert second.network_calls == 0
         assert second.cache_misses == 0
         assert second.cache_hits == 3
+
+
+class TestDefaultTransport:
+    def test_client_uses_the_module_transport_in_place_when_built(
+        self, tmp_path, monkeypatch, no_geo_network
+    ):
+        import urbanmas.geo as geo_mod
+
+        calls = []
+
+        def recorder(url, params):
+            calls.append(url)
+            return answer_every_upstream(url, params)
+
+        monkeypatch.setattr(geo_mod, "_http_get", recorder)
+        client = GeoClient(IngestConfig(cache_dir=tmp_path, min_request_interval_s=0.0))
+        client.enrich(LocationSample(id="x", latitude=1.0, longitude=2.0))
+        assert len(calls) == 3
+
+
+class TestPacing:
+    """Only the geocoder is paced; the POI and street-view calls are not."""
+
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        import urbanmas.geo as geo_mod
+
+        sleeps = []
+        monkeypatch.setattr(geo_mod.time, "sleep", sleeps.append)
+        return sleeps
+
+    def test_one_location_sleeps_nothing(self, tmp_path, sleeps):
+        client = GeoClient(IngestConfig(cache_dir=tmp_path), http_get=answer_every_upstream)
+        client.enrich(LocationSample(id="x", latitude=1.0, longitude=2.0))
+        assert sleeps == []
+        assert client.network_calls == 3
+
+    def test_two_locations_sleep_once_before_the_second_geocoder_call(self, tmp_path, sleeps):
+        client = GeoClient(IngestConfig(cache_dir=tmp_path), http_get=answer_every_upstream)
+        client.enrich(LocationSample(id="x", latitude=1.0, longitude=2.0))
+        client.enrich(LocationSample(id="y", latitude=3.0, longitude=4.0))
+        assert len(sleeps) == 1 and 0.9 < sleeps[0] <= 1.0
+        assert client.network_calls == 6
