@@ -17,6 +17,8 @@ import argparse
 import hashlib
 import json
 import logging
+import os
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -292,6 +294,18 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return 1 if len(hard_failures) == len(samples) else 0
 
 
+def _replace_dir(new: Path, target: Path) -> None:
+    """Move ``new`` to ``target`` in one rename. An existing ``target`` is
+    renamed aside first and deleted afterwards, so ``target`` is never a
+    mix of the two."""
+    aside = target.with_name(f"{target.name}.{os.getpid()}.old")
+    shutil.rmtree(aside, ignore_errors=True)
+    if target.exists():
+        os.replace(target, aside)
+    os.replace(new, target)
+    shutil.rmtree(aside, ignore_errors=True)
+
+
 def cmd_predict(cfg: RunConfig) -> int:
     samples = _load_dataset(cfg)
     tasks = cfg.resolve_tasks()
@@ -311,16 +325,29 @@ def cmd_predict(cfg: RunConfig) -> int:
                 )
             factor_maps[task.id] = load_factor_cache(cache_path, task)
 
-    try:
-        outcome = run_predictions(
-            samples, tasks, cfg.variants, backend, cfg.reliability, factor_maps, workers=cfg.workers
-        )
-    finally:
-        backend.close()
-
+    # Each job writes its audit file into a staging tree as it ends; the
+    # tree replaces audit/ whole once every job has ended.
     out_dir = Path(cfg.out_dir)
-    write_predictions(outcome.predictions, out_dir / "predictions.jsonl")
-    write_audit(outcome, out_dir / "audit")
+    staging = out_dir / f"audit.{os.getpid()}.tmp"
+    shutil.rmtree(staging, ignore_errors=True)  # left by a killed run with this pid
+    for variant in cfg.variants:
+        for task in tasks:
+            (staging / variant / task.id).mkdir(parents=True, exist_ok=True)
+    try:
+        try:
+            outcome = run_predictions(
+                samples, tasks, cfg.variants, backend, cfg.reliability, factor_maps,
+                workers=cfg.workers,
+                # write_audit is looked up per call, so a wrapper set on this module sees each job.
+                on_job_end=lambda run: write_audit(run, staging),
+            )
+        finally:
+            backend.close()
+        write_predictions(outcome.predictions, out_dir / "predictions.jsonl")
+        _replace_dir(staging, out_dir / "audit")
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
     write_similarity_log(outcome, out_dir / "similarity_reports.jsonl")
 
     print(

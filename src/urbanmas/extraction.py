@@ -70,14 +70,20 @@ def location_context(sample: LocationSample, max_pois: int = PROMPT_POI_LIMIT) -
 
 
 def build_prompt(
-    sample: LocationSample, fs: FactorSet, max_pois: int = PROMPT_POI_LIMIT
+    sample: LocationSample,
+    fs: FactorSet,
+    max_pois: int = PROMPT_POI_LIMIT,
+    context: str | None = None,
 ) -> ExtractionPrompt:
     """Render the extractor prompt for one factor set.
 
     Rendering is deterministic: stable field order and POIs ordered
     closest-first. Street-level prompts carry the sample's street-view
-    references; macro-level prompts never do.
+    references; macro-level prompts never do. ``context`` is the sample's
+    ``location_context``, when the caller has already rendered it.
     """
+    if context is None:
+        context = location_context(sample, max_pois)
     system = (
         f"You are an urban information extraction agent focused on the "
         f"{_DIMENSION_WORDING[fs.dimension]} dimension at the {fs.level.value} level. "
@@ -88,7 +94,7 @@ def build_prompt(
         f"{i}. {f.name}: {f.description}" for i, f in enumerate(fs.factors, 1)
     )
     user = (
-        f"{location_context(sample, max_pois)}\n\n"
+        f"{context}\n\n"
         f"Factors to extract:\n{factor_lines}\n\n"
         f"Return a JSON object with exactly these keys: {keys}\n"
         f"Each value must be a short factual description (at most "
@@ -202,7 +208,7 @@ def extract_single(
     return _record(sample, fs, values, "variant_a")
 
 
-def _refine_fn(sample: LocationSample, fs: FactorSet, backend: ChatBackend):
+def _refine_fn(context: str, fs: FactorSet, backend: ChatBackend):
     descriptions = {f.name: f.description for f in fs.factors}
 
     def refine(field_name: str, value_a: str, value_b: str) -> str:
@@ -211,7 +217,7 @@ def _refine_fn(sample: LocationSample, fs: FactorSet, backend: ChatBackend):
             "values for one factor disagree; produce a single corrected value."
         )
         user = (
-            f"{location_context(sample)}\n\n"
+            f"{context}\n\n"
             f"Factor: {field_name}: {descriptions.get(field_name, '')}\n"
             f"Value A: {json.dumps(value_a, ensure_ascii=False)}\n"
             f"Value B: {json.dumps(value_b, ensure_ascii=False)}\n"
@@ -257,9 +263,16 @@ def extract_pair(
     backend: ChatBackend,
     cfg: ReliabilityConfig,
     reliability_enabled: bool = True,
+    context: str | None = None,
 ) -> PairExtraction:
-    """Run one (dimension, level) extraction chain end to end."""
-    prompt = build_prompt(sample, fs)
+    """Run one (dimension, level) extraction chain end to end.
+
+    ``context`` is the sample's ``location_context``, rendered once per job
+    by ``extract_reliable``; it is rendered here when not given.
+    """
+    if context is None:
+        context = location_context(sample)
+    prompt = build_prompt(sample, fs, context=context)
     if not reliability_enabled:
         record = extract_single(sample, fs, backend, prompt)
         return PairExtraction(
@@ -267,7 +280,7 @@ def extract_pair(
         )
     var_a, var_b = extract_variants(sample, fs, backend, prompt)
     report = evaluate(var_a, var_b, cfg)
-    record = reconcile(var_a, var_b, report, _refine_fn(sample, fs, backend), cfg)
+    record = reconcile(var_a, var_b, report, _refine_fn(context, fs, backend), cfg)
     return PairExtraction(
         prompt=prompt, variant_a=var_a, variant_b=var_b, report=report, record=record
     )
@@ -290,10 +303,13 @@ def extract_reliable(
     missing = [pair_label(d, r) for d, r in PAIRS if (d, r) not in factor_map]
     if missing:
         raise ExtractionError(f"factor map is missing pairs: {missing}")
+    context = location_context(sample)
     results = {}
     for pair in PAIRS:
         try:
-            results[pair] = extract_pair(sample, factor_map[pair], backend, cfg, reliability_enabled)
+            results[pair] = extract_pair(
+                sample, factor_map[pair], backend, cfg, reliability_enabled, context
+            )
         except Exception as exc:
             raise ExtractionError(f"{pair_label(*pair)}: {exc}") from exc
     return results

@@ -6,9 +6,11 @@ swaps the guided factor sets for the fixed generic placeholders;
 ``no_reliability`` uses single-variant extraction with unconditional
 acceptance; ``single_llm`` bypasses all layers with one direct prompt.
 A job is one thread that makes its model calls one at a time; jobs run on
-one bounded pool, and all run outputs (predictions, audit transcripts,
-similarity log) are written in deterministic order so replay runs are
-byte-identical regardless of worker width.
+one bounded pool. A job's transcript is handed to the caller as the job
+ends and then dropped, so a run's memory does not grow with its
+transcripts. Predictions and the similarity log are written in
+deterministic order, so replay runs are byte-identical regardless of
+worker width.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .backend import ChatBackend
 from .domain import (
@@ -63,6 +65,28 @@ class LocationRun:
         doc["prediction"] = self.prediction.to_dict()
         return doc
 
+    def similarity_lines(self) -> list[str]:
+        """This job's similarity-log lines: one per record the gate settled."""
+        if self.pairs is None:
+            return []
+        pred = self.prediction
+        docs = []
+        for d, r in PAIRS:
+            pe = self.pairs[(d, r)]
+            if pe.report is None:
+                continue
+            docs.append(
+                {
+                    "location_id": pred.location_id,
+                    "task_id": pred.task_id,
+                    "variant": pred.variant,
+                    "pair": pair_label(d, r),
+                    "status": pe.record.status,
+                    "report": pe.report.to_dict(),
+                }
+            )
+        return list(_json_lines(docs))
+
 
 def predict_location(
     sample: LocationSample,
@@ -99,18 +123,40 @@ def predict_location(
 
 @dataclass
 class RunOutcome:
-    """Everything a prediction run produced, in deterministic order."""
+    """What a prediction run keeps once its jobs have ended, in job order.
 
-    runs: list[LocationRun] = field(default_factory=list)
+    A job's transcript is dropped when the job ends; only its prediction
+    and its similarity-log lines stay.
+    """
+
+    predictions: list[PredictionOutput] = field(default_factory=list)
+    similarity_lines: list[str] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
-
-    @property
-    def predictions(self) -> list[PredictionOutput]:
-        return [run.prediction for run in self.runs]
 
     @property
     def clamp_count(self) -> int:
         return sum(1 for p in self.predictions if p.clamped)
+
+
+def _run_job(
+    sample: LocationSample,
+    task: TaskSpec,
+    variant: str,
+    backend: ChatBackend,
+    rel_cfg: ReliabilityConfig,
+    factor_map: FactorMap | None,
+    on_job_end: Callable[[LocationRun], None] | None,
+) -> tuple[PredictionOutput | None, list[str] | str]:
+    """One job in its pool thread: (prediction, similarity-log lines), or
+    (None, error text) when the job failed. An error from ``on_job_end``
+    is not a failed job; it propagates."""
+    try:
+        run = predict_location(sample, task, variant, backend, rel_cfg, factor_map)
+    except Exception as exc:
+        return None, str(exc)
+    if on_job_end is not None:
+        on_job_end(run)
+    return run.prediction, run.similarity_lines()
 
 
 def run_predictions(
@@ -121,12 +167,16 @@ def run_predictions(
     rel_cfg: ReliabilityConfig | None = None,
     factor_maps: Mapping[str, FactorMap] | None = None,
     workers: int = 4,
+    on_job_end: Callable[[LocationRun], None] | None = None,
 ) -> RunOutcome:
     """Run every (location, task, variant) job on a pool of 4 x ``workers`` threads.
 
     ``factor_maps`` maps task id to its guided factor map and is required
     for the guided variants. Per-job failures are collected (and counted),
     not propagated; failed jobs are excluded from the predictions.
+    ``on_job_end`` is called with each successful job's transcript in that
+    job's thread, before the transcript is dropped. If it raises, jobs not
+    yet started are cancelled and the error propagates.
     """
     rel_cfg = rel_cfg or ReliabilityConfig()
     factor_maps = factor_maps or {}
@@ -145,37 +195,45 @@ def run_predictions(
         for sample in samples
     ]
     outcome = RunOutcome()
-    indexed: dict[tuple[str, str, str], LocationRun] = {}
+    done: dict[tuple[str, str, str], tuple[PredictionOutput, list[str]]] = {}
     # A job makes one call at a time, so at most 4 x workers calls are in flight.
     with ThreadPoolExecutor(max_workers=len(PAIRS) * max(1, workers)) as pool:
         futures = {
             (sample.id, task.id, variant): pool.submit(
-                predict_location,
+                _run_job,
                 sample,
                 task,
                 variant,
                 backend,
                 rel_cfg,
                 factor_maps.get(task.id),
+                on_job_end,
             )
             for sample, task, variant in jobs
         }
-        for key, future in futures.items():
-            location_id, task_id, variant = key
-            try:
-                indexed[key] = future.result()
-            except Exception as exc:
-                logger.error("job %s failed: %s", key, exc)
+        try:
+            for key, future in futures.items():
+                prediction, detail = future.result()
+                if prediction is not None:
+                    done[key] = (prediction, detail)
+                    continue
+                location_id, task_id, variant = key
+                logger.error("job %s failed: %s", key, detail)
                 outcome.failures.append(
                     {
                         "location_id": location_id,
                         "task_id": task_id,
                         "variant": variant,
-                        "error": str(exc),
+                        "error": detail,
                     }
                 )
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
-    outcome.runs = [indexed[key] for key in sorted(indexed)]
+    ordered = [done[key] for key in sorted(done)]
+    outcome.predictions = [prediction for prediction, _ in ordered]
+    outcome.similarity_lines = [line for _, lines in ordered for line in lines]
     outcome.failures.sort(key=lambda f: (f["location_id"], f["task_id"], f["variant"]))
     if outcome.failures:
         logger.warning("%d job(s) failed and were excluded", len(outcome.failures))
@@ -207,46 +265,26 @@ def load_predictions(path: str | Path) -> list[PredictionOutput]:
     return predictions
 
 
-def write_audit(outcome: RunOutcome, audit_dir: str | Path) -> int:
-    """One transcript file per job under audit/<variant>/<task>/<location>.json.
+def write_audit(run: LocationRun, audit_dir: str | Path) -> None:
+    """Write one job's transcript to <audit_dir>/<variant>/<task>/<location>.json.
 
-    Each is one line of compact JSON: the C encoder writes it, where an
-    indented dump falls back to the pure-Python one at about three times
-    the cost. ``python -m json.tool <file>`` pretty-prints it.
+    The directory must already exist. The file is one line of compact JSON:
+    the C encoder writes it, where an indented dump falls back to the
+    pure-Python one at about three times the cost. ``python -m json.tool
+    <file>`` pretty-prints it. The file is written in place, not through a
+    temp file, because ``audit_dir`` is a staging tree that replaces the
+    run's ``audit/`` whole once every job has ended.
     """
-    audit_dir = Path(audit_dir)
-    for run in outcome.runs:
-        pred = run.prediction
-        write_text_atomic(
-            audit_dir / pred.variant / pred.task_id / f"{pred.location_id}.json",
-            [json.dumps(run.audit_doc(), ensure_ascii=False)],
-        )
-    return len(outcome.runs)
+    pred = run.prediction
+    path = Path(audit_dir, pred.variant, pred.task_id, f"{pred.location_id}.json")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(run.audit_doc(), ensure_ascii=False))
 
 
 def write_similarity_log(outcome: RunOutcome, path: str | Path) -> int:
     """One similarity report line per settled record, for audit."""
-    lines = []
-    for run in outcome.runs:
-        if run.pairs is None:
-            continue
-        pred = run.prediction
-        for d, r in PAIRS:
-            pe = run.pairs[(d, r)]
-            if pe.report is None:
-                continue
-            lines.append(
-                {
-                    "location_id": pred.location_id,
-                    "task_id": pred.task_id,
-                    "variant": pred.variant,
-                    "pair": pair_label(d, r),
-                    "status": pe.record.status,
-                    "report": pe.report.to_dict(),
-                }
-            )
-    write_text_atomic(Path(path), _json_lines(lines))
-    return len(lines)
+    write_text_atomic(Path(path), outcome.similarity_lines)
+    return len(outcome.similarity_lines)
 
 
 def _json_lines(docs: Iterable[dict]) -> Iterable[str]:

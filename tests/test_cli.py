@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import urbanmas.cli
 from urbanmas.backend import CassetteBackend, ChatRequest, MockBackend, deterministic_responder
 from urbanmas.cli import RunConfig, load_config, main, make_backend
 from urbanmas.domain import builtin_task
@@ -26,6 +28,10 @@ def workspace(tmp_path):
 
 def run_cli(*args: str) -> int:
     return main(list(args))
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 class TestRunConfig:
@@ -340,6 +346,55 @@ class TestPredictCommand:
         assert len(manifest["dataset_sha256"]) == 64
         assert (out_dir / "audit" / "full" / "running_amount" / "tokyo_tower.json").exists()
         assert (out_dir / "similarity_reports.jsonl").exists()
+
+    def _predict(self, workspace, dataset="samples.jsonl"):
+        return run_cli(
+            "predict", "--backend", "mock",
+            "--dataset", str(workspace / dataset),
+            "--factor-dir", str(workspace / "factors"),
+            "--out", str(workspace / "out"),
+            "--tasks", "running_amount",
+            "--variant", "full", "--variant", "single_llm",
+        )
+
+    def test_audit_write_error_stops_the_run_and_keeps_the_old_audit(
+        self, workspace, capsys, monkeypatch
+    ):
+        self._factors(workspace)
+        assert self._predict(workspace) == 0
+        audit = workspace / "out" / "audit"
+        before = _tree_bytes(audit)
+        calls = itertools.count(1)
+        write_audit = urbanmas.cli.write_audit
+
+        def fail_on_third_job(run, audit_dir):
+            if next(calls) == 3:
+                raise OSError("no space left on device")
+            write_audit(run, audit_dir)
+
+        monkeypatch.setattr(urbanmas.cli, "write_audit", fail_on_third_job)
+        capsys.readouterr()
+        with pytest.raises(OSError, match="no space left"):
+            self._predict(workspace)
+        assert "failed jobs" not in capsys.readouterr().out
+        assert list((workspace / "out").glob("audit.*")) == []
+        assert _tree_bytes(audit) == before
+
+    def test_rerun_into_the_same_out_leaves_only_its_own_audit_files(self, workspace):
+        self._factors(workspace)
+        assert self._predict(workspace) == 0
+        first = (workspace / "samples.jsonl").read_text().splitlines()[0]
+        (workspace / "one.jsonl").write_text(first + "\n")
+        assert self._predict(workspace, "one.jsonl") == 0
+        location = json.loads(first)["id"]
+        out_dir = workspace / "out"
+        assert sorted(_tree_bytes(out_dir / "audit")) == [
+            f"full/running_amount/{location}.json",
+            f"single_llm/running_amount/{location}.json",
+        ]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "audit", "manifest.json", "predictions.jsonl", "similarity_reports.jsonl",
+        ]
 
     def test_missing_factor_cache_is_actionable(self, workspace, capsys):
         code = run_cli(

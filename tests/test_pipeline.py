@@ -1,6 +1,8 @@
+import gc
 import json
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -8,7 +10,9 @@ from urbanmas.backend import MockBackend
 from urbanmas.domain import PAIRS, PredictionOutput, builtin_task
 from urbanmas.errors import ConfigError
 from urbanmas.guidance import guide
+from urbanmas import pipeline
 from urbanmas.pipeline import (
+    VARIANTS,
     load_predictions,
     predict_location,
     run_predictions,
@@ -123,6 +127,36 @@ class TestWorkersBoundCallsInFlight:
         assert backend.peak <= 4 * workers
 
 
+class TestRunKeepsNoTranscript:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_transcript_is_dropped_when_its_job_ends(
+        self, dataset, task, factor_map, workers, monkeypatch
+    ):
+        refs: list[weakref.ref] = []
+        alive_at_job_end: list[int] = []
+        lock = threading.Lock()
+        original = pipeline.predict_location
+
+        def tracked(*args, **kwargs):
+            run = original(*args, **kwargs)
+            with lock:
+                refs.append(weakref.ref(run))
+                alive_at_job_end.append(sum(1 for ref in refs if ref() is not None))
+            return run
+
+        monkeypatch.setattr(pipeline, "predict_location", tracked)
+        outcome = run_predictions(
+            dataset, [task], VARIANTS, MockBackend(),
+            factor_maps={task.id: factor_map}, workers=workers,
+        )
+        gc.collect()
+        assert not outcome.failures
+        assert len(refs) == len(outcome.predictions) == len(VARIANTS) * len(dataset)
+        # One transcript per pool thread at most: the one whose job just ended.
+        assert max(alive_at_job_end) <= len(PAIRS) * workers
+        assert [ref for ref in refs if ref() is not None] == []
+
+
 class TestRunArtifacts:
     def _outcome(self, dataset, task, factor_map, backend=None):
         return run_predictions(
@@ -153,9 +187,14 @@ class TestRunArtifacts:
         assert path.read_bytes() == before
 
     def test_audit_layout_and_content(self, dataset, task, factor_map, tmp_path):
-        outcome = self._outcome(dataset, task, factor_map)
         audit = tmp_path / "audit"
-        written = write_audit(outcome, audit)
+        for variant in ("full", "single_llm"):
+            (audit / variant / task.id).mkdir(parents=True)
+        outcome = run_predictions(
+            dataset, [task], ("full", "single_llm"), MockBackend(),
+            factor_maps={task.id: factor_map}, on_job_end=lambda run: write_audit(run, audit),
+        )
+        written = sum(1 for _ in audit.rglob("*.json"))
         assert written == len(outcome.predictions)
         doc = json.loads(
             (audit / "full" / task.id / "tokyo_tower.json").read_text()
@@ -183,11 +222,13 @@ class TestRunArtifacts:
     def test_guided_map_from_guidance_layer_composes(self, dataset, task):
         backend = MockBackend()
         factor_map = guide([task], backend)[task.id]
+        runs = []
         outcome = run_predictions(
-            dataset, [task], ("no_reliability",), backend, factor_maps={task.id: factor_map}
+            dataset, [task], ("no_reliability",), backend, factor_maps={task.id: factor_map},
+            on_job_end=runs.append,
         )
-        assert len(outcome.predictions) == len(dataset)
-        for run in outcome.runs:
+        assert len(outcome.predictions) == len(runs) == len(dataset)
+        for run in runs:
             for pe in run.pairs.values():
                 assert pe.record.status == "raw"
 

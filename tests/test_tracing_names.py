@@ -6,6 +6,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from urbanmas.cli import main
+
+from conftest import FIXTURES
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -36,3 +40,20 @@ def test_every_module_with_a_thread_pool_is_a_pool_module():
     }
     assert pooled
     assert pooled <= set(_spans().POOL_MODULES)
+
+
+def test_a_traced_factors_and_predict_run_records_every_layer(tmp_path):
+    tracer = _spans().Tracer()
+    common = ["--backend", "mock", "--tasks", "running_amount",
+              "--factor-dir", str(tmp_path / "factors"), "--out", str(tmp_path / "out")]
+    tracer.install()
+    try:
+        assert main(["factors", *common]) == 0
+        assert main([
+            "predict", *common, "--dataset", str(FIXTURES / "samples.jsonl"),
+            "--variant", "full", "--variant", "no_factors",
+            "--variant", "no_reliability", "--variant", "single_llm",
+        ]) == 0
+    finally:
+        tracer.uninstall()
+    tracer.check_coverage()
