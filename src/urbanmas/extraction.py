@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .backend import ChatBackend, ChatRequest
@@ -245,6 +245,15 @@ class PairExtraction:
     def refine_calls(self) -> int:
         """Refiner calls made: ``reconcile`` makes one per repair round."""
         return sum(v.repair_rounds for v in self.record.fields.values())
+
+    def for_task(self, task_id: str) -> "PairExtraction":
+        """This extraction with its records relabelled to ``task_id``."""
+        return replace(
+            self,
+            variant_a=replace(self.variant_a, task_id=task_id),
+            variant_b=replace(self.variant_b, task_id=task_id) if self.variant_b else None,
+            record=replace(self.record, task_id=task_id),
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -14,6 +14,7 @@ and a task that failed does not stop the others from being cached.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from . import domain
 from .backend import ChatBackend, ChatRequest
 from .domain import (
     Dimension,
@@ -30,6 +32,7 @@ from .domain import (
     PredictiveFactor,
     TaskSpec,
     pair_label,
+    unique_tasks,
     validate_factor_set,
     write_json_atomic,
 )
@@ -203,7 +206,7 @@ def guide(
     plus report bodies) before any failure is raised; then one
     :class:`GuidanceError` names every failing chain as ``<task>/<pair>``.
     """
-    tasks = list({task.id: task for task in tasks}.values())
+    tasks = unique_tasks(tasks)
     paths = {} if factor_dir is None else {
         task.id: factor_cache_path(factor_dir, task.id) for task in tasks
     }
@@ -242,6 +245,19 @@ def guide(
     return {task.id: factor_maps[task.id] for task in tasks}
 
 
+def _prompt_sha256(task: TaskSpec) -> str:
+    """SHA-256 over what shapes ``task``'s factor sets besides the model: each
+    pair's research prompt at seed 0, its summary prompt over a fixed
+    placeholder brief with no feedback, and ``FACTORS_PER_SET``."""
+    parts: list[object] = []
+    for d, r in PAIRS:
+        brief = ResearchReport(task_id=task.id, dimension=d, level=r, body="<research brief>")
+        for req in (_research_request(task, d, r, seed=0), _summary_request(task, brief, "", seed=0)):
+            parts += [req.system_prompt, req.user_prompt]
+    parts.append(domain.FACTORS_PER_SET)
+    return hashlib.sha256(json.dumps(parts).encode("utf-8")).hexdigest()
+
+
 def save_factor_cache(
     path: str | Path,
     task: TaskSpec,
@@ -250,6 +266,7 @@ def save_factor_cache(
 ) -> None:
     doc = {
         "task": task.to_dict(),
+        "prompt_sha256": _prompt_sha256(task),
         "pairs": [
             {
                 "dimension": d.value,
@@ -266,13 +283,15 @@ def save_factor_cache(
 def load_factor_cache(path: str | Path, task: TaskSpec) -> FactorMap:
     """Load the factor sets that :func:`guide` cached for ``task``.
 
-    Unreadable content, a cache made for another task spec, or a set that
-    fails validation raises :class:`GuidanceError` naming the file.
+    Unreadable content, a cache made for another task spec or under other
+    prompts (:func:`_prompt_sha256`), or a set that fails validation raises
+    :class:`GuidanceError` naming the file.
     """
     redo = f"delete it and run `urbanmas factors --tasks {task.id}` again"
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         cached_task = doc["task"]
+        cached_prompts = doc.get("prompt_sha256")
         pairs = [
             (Dimension(entry["dimension"]), Level(entry["level"]),
              tuple(PredictiveFactor.from_dict(f) for f in entry["factors"]))
@@ -283,6 +302,10 @@ def load_factor_cache(path: str | Path, task: TaskSpec) -> FactorMap:
     if cached_task != task.to_dict():
         raise GuidanceError(
             f"factor cache {path} is for task {cached_task}, not {task.to_dict()}; {redo}"
+        )
+    if cached_prompts != _prompt_sha256(task):
+        raise GuidanceError(
+            f"factor cache {path} was made under other prompts or set size; {redo}"
         )
     factor_map: FactorMap = {}
     for d, r, factors in pairs:

@@ -5,10 +5,12 @@ extraction with the reliability gate and joint inference; ``no_factors``
 swaps the guided factor sets for the fixed generic placeholders;
 ``no_reliability`` uses single-variant extraction with unconditional
 acceptance; ``single_llm`` bypasses all layers with one direct prompt.
-A job is one thread that makes its model calls one at a time; jobs run on
-one bounded pool. A job's transcript is handed to the caller as the job
-ends and then dropped, so a run's memory does not grow with its
-transcripts. Predictions and the similarity log are written in
+A job runs in one thread and makes its model calls one at a time; jobs run
+on one bounded pool. The generic sets do not depend on the task, so one
+pool task runs the ``no_factors`` jobs of one location for every task in
+turn, and they share one extraction. A job's transcript is handed to the
+caller as the job ends and then dropped, so a run's memory does not grow
+with its transcripts. Predictions and the similarity log are written in
 deterministic order, so replay runs are byte-identical regardless of
 worker width.
 """
@@ -31,6 +33,7 @@ from .domain import (
     PredictionOutput,
     TaskSpec,
     pair_label,
+    unique_tasks,
     write_text_atomic,
 )
 from .errors import ConfigError
@@ -95,12 +98,20 @@ def predict_location(
     backend: ChatBackend,
     rel_cfg: ReliabilityConfig | None = None,
     factor_map: FactorMap | None = None,
+    pairs: Mapping[tuple[Dimension, Level], PairExtraction] | None = None,
 ) -> LocationRun:
-    """Run one variant pipeline for one location and task."""
+    """Run one variant pipeline for one location and task.
+
+    ``pairs`` is a ``no_factors`` extraction of this location settled for
+    another task. The generic sets are the same for every task, so it is
+    relabelled to ``task`` and used in place of a new extraction.
+    """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r} (one of {VARIANTS})")
     rel_cfg = rel_cfg or ReliabilityConfig()
 
+    if pairs is not None and variant != "no_factors":
+        raise ConfigError(f"only no_factors reuses another task's extraction, not {variant!r}")
     if variant == "single_llm":
         return LocationRun(prediction=infer_single_llm(task, sample, backend))
 
@@ -109,13 +120,16 @@ def predict_location(
     elif factor_map is None:
         raise ConfigError(f"variant {variant!r} needs a guided factor map for task {task.id!r}")
 
-    pairs = extract_reliable(
-        sample,
-        factor_map,
-        backend,
-        cfg=rel_cfg,
-        reliability_enabled=(variant != "no_reliability"),
-    )
+    if pairs is not None:
+        pairs = {key: pe.for_task(task.id) for key, pe in pairs.items()}
+    else:
+        pairs = extract_reliable(
+            sample,
+            factor_map,
+            backend,
+            cfg=rel_cfg,
+            reliability_enabled=(variant != "no_reliability"),
+        )
     records = [pe.record for pe in pairs.values()]
     prediction = infer(task, records, backend, variant=variant, threshold=rel_cfg.threshold)
     return LocationRun(prediction=prediction, pairs=pairs)
@@ -138,25 +152,39 @@ class RunOutcome:
         return sum(1 for p in self.predictions if p.clamped)
 
 
-def _run_job(
+def _run_jobs(
     sample: LocationSample,
-    task: TaskSpec,
+    tasks: Sequence[TaskSpec],
     variant: str,
     backend: ChatBackend,
     rel_cfg: ReliabilityConfig,
-    factor_map: FactorMap | None,
+    factor_maps: Mapping[str, FactorMap],
     on_job_end: Callable[[LocationRun], None] | None,
-) -> tuple[PredictionOutput | None, list[str] | str]:
-    """One job in its pool thread: (prediction, similarity-log lines), or
-    (None, error text) when the job failed. An error from ``on_job_end``
-    is not a failed job; it propagates."""
-    try:
-        run = predict_location(sample, task, variant, backend, rel_cfg, factor_map)
-    except Exception as exc:
-        return None, str(exc)
-    if on_job_end is not None:
-        on_job_end(run)
-    return run.prediction, run.similarity_lines()
+) -> list[tuple[PredictionOutput | None, list[str] | str]]:
+    """The jobs of one location and variant, one per task in turn, in one
+    pool thread: for each, (prediction, similarity-log lines), or (None,
+    error text) when the job failed.
+
+    A ``no_factors`` job hands its extraction to the later tasks once one
+    has succeeded; a failed one leaves the next task to extract for itself.
+    An error from ``on_job_end`` is not a failed job; it propagates.
+    """
+    results: list[tuple[PredictionOutput | None, list[str] | str]] = []
+    shared = None
+    for task in tasks:
+        try:
+            run = predict_location(
+                sample, task, variant, backend, rel_cfg, factor_maps.get(task.id), shared
+            )
+        except Exception as exc:
+            results.append((None, str(exc)))
+            continue
+        if variant == "no_factors":
+            shared = run.pairs
+        if on_job_end is not None:
+            on_job_end(run)
+        results.append((run.prediction, run.similarity_lines()))
+    return results
 
 
 def run_predictions(
@@ -171,15 +199,19 @@ def run_predictions(
 ) -> RunOutcome:
     """Run every (location, task, variant) job on a pool of 4 x ``workers`` threads.
 
-    ``factor_maps`` maps task id to its guided factor map and is required
-    for the guided variants. Per-job failures are collected (and counted),
-    not propagated; failed jobs are excluded from the predictions.
-    ``on_job_end`` is called with each successful job's transcript in that
-    job's thread, before the transcript is dropped. If it raises, jobs not
-    yet started are cancelled and the error propagates.
+    Of a repeated task id only the first counts. One pool task runs one
+    job, except for ``no_factors``: one pool task runs every task of one
+    location in turn and extracts once for all of them (see
+    :func:`_run_jobs`). ``factor_maps`` maps task id to its guided factor
+    map and is required for the guided variants. Per-job failures are
+    collected (and counted), not propagated; failed jobs are excluded from
+    the predictions. ``on_job_end`` is called with each successful job's
+    transcript in that job's thread, before the transcript is dropped. If
+    it raises, jobs not yet started are cancelled and the error propagates.
     """
     rel_cfg = rel_cfg or ReliabilityConfig()
     factor_maps = factor_maps or {}
+    tasks = unique_tasks(tasks)
     for variant in variants:
         if variant in GUIDED_VARIANTS:
             missing = [t.id for t in tasks if t.id not in factor_maps]
@@ -188,45 +220,38 @@ def run_predictions(
                     f"variant {variant!r} needs guided factor maps for tasks {missing}"
                 )
 
-    jobs = [
-        (sample, task, variant)
+    groups = [
+        (sample, chain, variant)
         for variant in variants
-        for task in tasks
+        for chain in ([tasks] if variant == "no_factors" else [[task] for task in tasks])
         for sample in samples
     ]
     outcome = RunOutcome()
     done: dict[tuple[str, str, str], tuple[PredictionOutput, list[str]]] = {}
     # A job makes one call at a time, so at most 4 x workers calls are in flight.
     with ThreadPoolExecutor(max_workers=len(PAIRS) * max(1, workers)) as pool:
-        futures = {
-            (sample.id, task.id, variant): pool.submit(
-                _run_job,
-                sample,
-                task,
-                variant,
-                backend,
-                rel_cfg,
-                factor_maps.get(task.id),
-                on_job_end,
+        futures = [
+            pool.submit(
+                _run_jobs, sample, chain, variant, backend, rel_cfg, factor_maps, on_job_end
             )
-            for sample, task, variant in jobs
-        }
+            for sample, chain, variant in groups
+        ]
         try:
-            for key, future in futures.items():
-                prediction, detail = future.result()
-                if prediction is not None:
-                    done[key] = (prediction, detail)
-                    continue
-                location_id, task_id, variant = key
-                logger.error("job %s failed: %s", key, detail)
-                outcome.failures.append(
-                    {
-                        "location_id": location_id,
-                        "task_id": task_id,
-                        "variant": variant,
-                        "error": detail,
-                    }
-                )
+            for (sample, chain, variant), future in zip(groups, futures):
+                for task, (prediction, detail) in zip(chain, future.result()):
+                    key = (sample.id, task.id, variant)
+                    if prediction is not None:
+                        done[key] = (prediction, detail)
+                        continue
+                    logger.error("job %s failed: %s", key, detail)
+                    outcome.failures.append(
+                        {
+                            "location_id": sample.id,
+                            "task_id": task.id,
+                            "variant": variant,
+                            "error": detail,
+                        }
+                    )
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

@@ -17,15 +17,15 @@ import pytest
 
 from urbanmas.backend import CassetteBackend, ChatBackend, MockBackend
 from urbanmas.cli import main as cli_main
-from urbanmas.domain import PAIRS
+from urbanmas.domain import PAIRS, builtin_task
 from urbanmas.evaluation import (
     format_change,
     format_metric,
     metrics,
     rescale_to_unit_interval_times_ten,
 )
-from urbanmas.guidance import guide
-from urbanmas.pipeline import predict_location
+from urbanmas.guidance import GENERIC_FACTORS, guide
+from urbanmas.pipeline import predict_location, run_predictions
 from urbanmas.reliability import (
     ReliabilityConfig,
     evaluate,
@@ -317,6 +317,22 @@ class TestCriterion8AblationAccounting:
         predict_location(sample, task, "single_llm", replay)
         assert replay.count == 1
         _pass(8, "per-variant call counts: full=4*2+repairs+1, no_reliability=4+1, single_llm=1")
+
+    def test_no_factors_extracts_once_per_location(self, sample):
+        tasks = [builtin_task(t) for t in ("running_amount", "boringness", "liveliness")]
+        names = [f.name for f in GENERIC_FACTORS]
+        base = {name: f"moderate {name} observed around this location" for name in names}
+        conflicting = {**base, names[0]: "entirely unrelated fenced industrial storage text"}
+        backend = CountingBackend(scripted_extraction_backend({0: base, 1: conflicting}))
+        runs = []
+        outcome = run_predictions(
+            [sample], tasks, ["no_factors"], backend, workers=1, on_job_end=runs.append
+        )
+        assert not outcome.failures and len(runs) == len(tasks)
+        repairs = sum(pe.refine_calls for pe in runs[0].pairs.values())
+        assert repairs == 4  # one corrupted field in each of the four pairs
+        assert backend.count == 4 * 2 + repairs + len(tasks)
+        _pass(8, "no_factors over 3 tasks of one location: 4*2+repairs+3 calls")
 
 
 class TestCriterion9ReportFormatting:

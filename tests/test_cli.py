@@ -585,6 +585,65 @@ class TestMultiTaskFlow:
         assert len(rows) == 1 + 3  # header + one (task, variant) row per task
 
 
+    ALL_VARIANTS = (
+        "--variant", "full", "--variant", "no_factors",
+        "--variant", "no_reliability", "--variant", "single_llm",
+    )
+
+    def _predict_all_variants(self, workspace, out: str, tasks: str, workers: str) -> dict:
+        assert run_cli(
+            "predict", "--backend", "mock",
+            "--dataset", str(workspace / "samples.jsonl"),
+            "--factor-dir", str(workspace / "factors"),
+            "--out", str(workspace / out), "--tasks", tasks, "--workers", workers,
+            *self.ALL_VARIANTS,
+        ) == 0
+        tree = _tree_bytes(workspace / out)
+        tree.pop("manifest.json")
+        return tree
+
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    def test_a_three_task_run_writes_what_three_one_task_runs_write(self, workspace, workers):
+        task_ids = ("running_amount", "boringness", "liveliness")
+        assert run_cli(
+            "factors", "--backend", "mock", "--factor-dir", str(workspace / "factors"),
+            "--out", str(workspace / "out_factors"), "--tasks", ",".join(task_ids),
+        ) == 0
+        together = self._predict_all_variants(workspace, "out_all", ",".join(task_ids), workers)
+        alone = [self._predict_all_variants(workspace, f"out_{t}", t, "1") for t in task_ids]
+
+        def job(line: bytes) -> tuple:
+            doc = json.loads(line)
+            return doc["location_id"], doc["task_id"], doc["variant"]
+
+        for name in ("predictions.jsonl", "similarity_reports.jsonl"):
+            lines = [line for tree in alone for line in tree.pop(name).splitlines(keepends=True)]
+            # A stable sort keeps each job's similarity lines in pair order.
+            assert together.pop(name) == b"".join(sorted(lines, key=job)), name
+        audit = {path: data for tree in alone for path, data in tree.items()}
+        assert len(audit) == len(together) == 3 * 4 * 3
+        assert together == audit
+
+    def test_a_repeated_task_id_runs_once(self, workspace, monkeypatch):
+        assert run_cli(
+            "factors", "--backend", "mock", "--factor-dir", str(workspace / "factors"),
+            "--out", str(workspace / "out_factors"), "--tasks", "running_amount",
+        ) == 0
+        backends = []
+
+        def counted(cfg):
+            backends.append(MockBackend())
+            return backends[-1]
+
+        monkeypatch.setattr(urbanmas.cli, "make_backend", counted)
+        once = self._predict_all_variants(workspace, "out_once", "running_amount", "2")
+        twice = self._predict_all_variants(
+            workspace, "out_twice", "running_amount,running_amount", "2"
+        )
+        assert twice == once
+        assert backends[1].call_count == backends[0].call_count
+
+
 class TestLiveMode:
     """``live`` reads through the same store as ``record``, held in memory."""
 

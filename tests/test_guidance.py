@@ -4,7 +4,8 @@ import threading
 
 import pytest
 
-from urbanmas.backend import CassetteBackend, MockBackend
+from urbanmas import domain, guidance
+from urbanmas.backend import CassetteBackend, ChatRequest, MockBackend
 from urbanmas.domain import Dimension, Level, PAIRS, TaskSpec, builtin_task, validate_factor_set
 from urbanmas.errors import DegenerateReportError, GuidanceError, InvalidFactorSetError
 from urbanmas.guidance import (
@@ -187,6 +188,35 @@ class TestGuide:
         changed = TaskSpec(task.id, task.description + " Count night runs only.", task.output_key)
         with pytest.raises(GuidanceError, match="delete it and run `urbanmas factors"):
             guide([changed], MockBackend(), factor_dir=tmp_path)
+
+    def test_cache_without_a_prompt_hash_is_refused(self, task, tmp_path):
+        cache = factor_cache_path(tmp_path, task.id)
+        guide([task], MockBackend(), factor_dir=tmp_path)
+        doc = json.loads(cache.read_text())
+        del doc["prompt_sha256"]
+        cache.write_text(json.dumps(doc))
+        with pytest.raises(GuidanceError, match="delete it and run `urbanmas factors"):
+            load_factor_cache(cache, task)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda mp: mp.setitem(guidance._LEVEL_FRAMING, Level.STREET, "the street level"),
+            lambda mp: mp.setattr(
+                guidance, "_summary_request",
+                lambda *a, **k: ChatRequest(system_prompt="s", user_prompt="u"),
+            ),
+            lambda mp: mp.setattr(domain, "FACTORS_PER_SET", 7),
+        ],
+        ids=["research-and-summary-prompt", "summary-prompt", "factors-per-set"],
+    )
+    def test_cache_made_under_other_prompts_is_refused(self, task, tmp_path, monkeypatch, change):
+        cache = factor_cache_path(tmp_path, task.id)
+        guide([task], MockBackend(), factor_dir=tmp_path)
+        load_factor_cache(cache, task)
+        change(monkeypatch)
+        with pytest.raises(GuidanceError, match="delete it and run `urbanmas factors"):
+            load_factor_cache(cache, task)
 
     @pytest.mark.parametrize(
         "corrupt",

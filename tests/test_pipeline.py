@@ -8,7 +8,7 @@ import pytest
 
 from urbanmas.backend import MockBackend
 from urbanmas.domain import PAIRS, PredictionOutput, builtin_task
-from urbanmas.errors import ConfigError
+from urbanmas.errors import ConfigError, TransportExhaustedError
 from urbanmas.guidance import guide
 from urbanmas import pipeline
 from urbanmas.pipeline import (
@@ -54,6 +54,21 @@ class TestPredictLocation:
         names = next(iter(run.pairs.values())).record.field_names
         assert "overall character" in names
 
+    def test_no_factors_reuses_another_tasks_extraction_relabelled(self, sample, task):
+        other = builtin_task("liveliness")
+        first = predict_location(sample, task, "no_factors", MockBackend())
+        backend = MockBackend()
+        reused = predict_location(sample, other, "no_factors", backend, pairs=first.pairs)
+        assert backend.call_count == 1  # the inference only
+        own = predict_location(sample, other, "no_factors", MockBackend())
+        assert reused.audit_doc() == own.audit_doc()
+        assert reused.similarity_lines() == own.similarity_lines()
+
+    def test_only_no_factors_reuses_an_extraction(self, sample, task, factor_map):
+        pairs = predict_location(sample, task, "no_factors", MockBackend()).pairs
+        with pytest.raises(ConfigError, match="only no_factors"):
+            predict_location(sample, task, "full", MockBackend(), factor_map=factor_map, pairs=pairs)
+
 
 class TestRunPredictions:
     def test_outputs_are_sorted_and_complete(self, dataset, task, factor_map):
@@ -69,6 +84,40 @@ class TestRunPredictions:
     def test_missing_factor_maps_fail_fast(self, dataset, task):
         with pytest.raises(ConfigError, match="factor maps"):
             run_predictions(dataset, [task], ("full",), MockBackend())
+
+    def test_a_failed_no_factors_extraction_is_not_handed_on(self, dataset):
+        tasks = [builtin_task(t) for t in ("running_amount", "boringness", "liveliness")]
+
+        class FirstExtractionFails(MockBackend):
+            """The first extraction call for one location raises; later ones pass."""
+
+            def __init__(self):
+                super().__init__()
+                self._lock = threading.Lock()
+                self.failed = False
+
+            def complete(self, req):
+                with self._lock:
+                    fail = not self.failed and "Seattle" in req.user_prompt and (
+                        "exactly these keys" in req.user_prompt
+                    )
+                    self.failed = self.failed or fail
+                if fail:
+                    raise TransportExhaustedError("endpoint down")
+                return super().complete(req)
+
+        backend = FirstExtractionFails()
+        outcome = run_predictions(dataset, tasks, ["no_factors"], backend)
+        clean = run_predictions(dataset, tasks, ["no_factors"], MockBackend())
+        assert backend.failed
+        assert [(f["location_id"], f["task_id"]) for f in outcome.failures] == [
+            ("seattle_pike", "running_amount")
+        ]
+        assert "endpoint down" in outcome.failures[0]["error"]
+        assert outcome.predictions == [
+            p for p in clean.predictions
+            if (p.location_id, p.task_id) != ("seattle_pike", "running_amount")
+        ]
 
     def test_failures_are_collected_not_raised(self, dataset, task):
         backend = MockBackend()
@@ -145,13 +194,16 @@ class TestRunKeepsNoTranscript:
             return run
 
         monkeypatch.setattr(pipeline, "predict_location", tracked)
+        tasks = [task, builtin_task("boringness"), builtin_task("liveliness")]
+        factor_maps = {
+            t.id: {(d, r): make_factor_set(t.id, d, r) for d, r in PAIRS} for t in tasks
+        }
         outcome = run_predictions(
-            dataset, [task], VARIANTS, MockBackend(),
-            factor_maps={task.id: factor_map}, workers=workers,
+            dataset, tasks, VARIANTS, MockBackend(), factor_maps=factor_maps, workers=workers,
         )
         gc.collect()
         assert not outcome.failures
-        assert len(refs) == len(outcome.predictions) == len(VARIANTS) * len(dataset)
+        assert len(refs) == len(outcome.predictions) == len(VARIANTS) * len(tasks) * len(dataset)
         # One transcript per pool thread at most: the one whose job just ended.
         assert max(alive_at_job_end) <= len(PAIRS) * workers
         assert [ref for ref in refs if ref() is not None] == []
