@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
+from . import domain
 from .domain import http_request, write_text_atomic
 from .errors import (
     AuthenticationError,
@@ -178,13 +179,14 @@ def _mock_research(req: ChatRequest) -> str:
 
 
 def _mock_summary(req: ChatRequest) -> str:
+    count = domain.FACTORS_PER_SET
     found = _REPORT_LINE_RE.findall(req.user_prompt)
     factors = [
-        {"name": name.strip(), "description": desc.strip()} for name, desc in found[:6]
+        {"name": name.strip(), "description": desc.strip()} for name, desc in found[:count]
     ]
     seed = _digest("summary", req.user_prompt, req.variant_seed)
     pool = list(_FACTOR_VOCAB)
-    while len(factors) < 6 and pool:
+    while len(factors) < count and pool:
         name, desc = pool.pop(seed % len(pool))
         if all(f["name"] != name for f in factors):
             factors.append({"name": name, "description": desc})

@@ -99,6 +99,9 @@ class RunConfig:
             value = getattr(self, key)
             if not isinstance(value, (int, float)) or value <= 0:
                 raise ConfigError(f"{key}: must be a number > 0, got {value!r}")
+        bad_ids = [t for t in self.tasks if not isinstance(t, str)]
+        if bad_ids:
+            raise ConfigError(f"tasks: task ids must be strings, got {bad_ids}")
         unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown:
             raise ConfigError(f"variants: unknown variants {unknown} (choose from {VARIANTS})")
@@ -106,9 +109,10 @@ class RunConfig:
             raise ConfigError(f"cassette: backend {self.backend!r} requires --cassette")
 
     def resolve_tasks(self) -> list[TaskSpec]:
+        """The selected tasks in order; a repeated id counts once."""
         custom = {t.id: t for t in self.custom_tasks}
         resolved = []
-        for task_id in self.tasks:
+        for task_id in dict.fromkeys(self.tasks):
             try:
                 resolved.append(custom.get(task_id) or builtin_task(task_id))
             except ValueError as exc:
@@ -240,9 +244,9 @@ def _load_dataset(cfg: RunConfig) -> list[LocationSample]:
 # --------------------------------------------------------------------------
 
 def cmd_factors(cfg: RunConfig) -> int:
+    tasks = cfg.resolve_tasks()
     backend = make_backend(cfg)
     write_manifest(cfg, "factors")
-    tasks = cfg.resolve_tasks()
     cached = {t.id for t in tasks if factor_cache_path(cfg.factor_dir, t.id).exists()}
     try:
         factor_maps = guide(tasks, backend, factor_dir=cfg.factor_dir, workers=cfg.workers)
@@ -299,7 +303,6 @@ def _replace_dir(new: Path, target: Path) -> None:
     renamed aside first and deleted afterwards, so ``target`` is never a
     mix of the two."""
     aside = target.with_name(f"{target.name}.{os.getpid()}.old")
-    shutil.rmtree(aside, ignore_errors=True)
     if target.exists():
         os.replace(target, aside)
     os.replace(new, target)
@@ -326,10 +329,12 @@ def cmd_predict(cfg: RunConfig) -> int:
             factor_maps[task.id] = load_factor_cache(cache_path, task)
 
     # Each job writes its audit file into a staging tree as it ends; the
-    # tree replaces audit/ whole once every job has ended.
+    # tree replaces audit/ whole once every job has ended. Trees that a
+    # killed run left behind go first.
     out_dir = Path(cfg.out_dir)
+    for stale in [*out_dir.glob("audit.*.tmp"), *out_dir.glob("audit.*.old")]:
+        shutil.rmtree(stale, ignore_errors=True)
     staging = out_dir / f"audit.{os.getpid()}.tmp"
-    shutil.rmtree(staging, ignore_errors=True)  # left by a killed run with this pid
     for variant in cfg.variants:
         for task in tasks:
             (staging / variant / task.id).mkdir(parents=True, exist_ok=True)

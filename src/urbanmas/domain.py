@@ -111,14 +111,6 @@ DEFAULT_TASKS: tuple[TaskSpec, ...] = (
 )
 
 
-def unique_tasks(tasks: Iterable[TaskSpec]) -> list[TaskSpec]:
-    """``tasks`` in order, keeping only the first of a repeated id."""
-    first: dict[str, TaskSpec] = {}
-    for task in tasks:
-        first.setdefault(task.id, task)
-    return list(first.values())
-
-
 def builtin_task(task_id: str) -> TaskSpec:
     for task in DEFAULT_TASKS:
         if task.id == task_id:

@@ -53,14 +53,14 @@ class ExtractionPrompt:
         return {"system": self.system, "user": self.user, "image_refs": list(self.image_refs)}
 
 
-def location_context(sample: LocationSample, max_pois: int = PROMPT_POI_LIMIT) -> str:
+def location_context(sample: LocationSample) -> str:
     """Deterministic textual rendering of a sample's resolved context."""
     lines = [
         f"Location: {sample.address or 'unresolved address'}",
         f"City: {sample.city or 'unknown'}",
         f"Coordinates: {sample.latitude:.5f}, {sample.longitude:.5f}",
     ]
-    pois = sorted(sample.pois, key=lambda p: (p.distance_m, p.name))[:max_pois]
+    pois = sorted(sample.pois, key=lambda p: (p.distance_m, p.name))[:PROMPT_POI_LIMIT]
     if pois:
         lines.append("Nearby points of interest (closest first):")
         lines.extend(f"- {p.name} ({p.category}, {p.distance_m:.0f} m)" for p in pois)
@@ -69,21 +69,13 @@ def location_context(sample: LocationSample, max_pois: int = PROMPT_POI_LIMIT) -
     return "\n".join(lines)
 
 
-def build_prompt(
-    sample: LocationSample,
-    fs: FactorSet,
-    max_pois: int = PROMPT_POI_LIMIT,
-    context: str | None = None,
-) -> ExtractionPrompt:
+def build_prompt(sample: LocationSample, fs: FactorSet, context: str) -> ExtractionPrompt:
     """Render the extractor prompt for one factor set.
 
-    Rendering is deterministic: stable field order and POIs ordered
-    closest-first. Street-level prompts carry the sample's street-view
-    references; macro-level prompts never do. ``context`` is the sample's
-    ``location_context``, when the caller has already rendered it.
+    ``context`` is the sample's ``location_context``. Rendering is
+    deterministic (stable field order). Street-level prompts carry the
+    sample's street-view references; macro-level prompts never do.
     """
-    if context is None:
-        context = location_context(sample, max_pois)
     system = (
         f"You are an urban information extraction agent focused on the "
         f"{_DIMENSION_WORDING[fs.dimension]} dimension at the {fs.level.value} level. "
@@ -183,29 +175,15 @@ def extract_variants(
     sample: LocationSample,
     fs: FactorSet,
     backend: ChatBackend,
-    prompt: ExtractionPrompt | None = None,
+    prompt: ExtractionPrompt,
 ) -> tuple[UrbanInfoRecord, UrbanInfoRecord]:
     """Request the two independent extraction variants (seeds 0 and 1)."""
-    prompt = prompt or build_prompt(sample, fs)
     values_a = _request_variant(sample, fs, backend, prompt, seed=0)
     values_b = _request_variant(sample, fs, backend, prompt, seed=1)
     return (
         _record(sample, fs, values_a, "variant_a"),
         _record(sample, fs, values_b, "variant_b"),
     )
-
-
-def extract_single(
-    sample: LocationSample,
-    fs: FactorSet,
-    backend: ChatBackend,
-    prompt: ExtractionPrompt | None = None,
-) -> UrbanInfoRecord:
-    """Single-variant extraction for the no_reliability ablation: one call,
-    variant A accepted unconditionally, record stays raw."""
-    prompt = prompt or build_prompt(sample, fs)
-    values = _request_variant(sample, fs, backend, prompt, seed=0)
-    return _record(sample, fs, values, "variant_a")
 
 
 def _refine_fn(context: str, fs: FactorSet, backend: ChatBackend):
@@ -271,19 +249,20 @@ def extract_pair(
     fs: FactorSet,
     backend: ChatBackend,
     cfg: ReliabilityConfig,
+    context: str,
     reliability_enabled: bool = True,
-    context: str | None = None,
 ) -> PairExtraction:
     """Run one (dimension, level) extraction chain end to end.
 
     ``context`` is the sample's ``location_context``, rendered once per job
-    by ``extract_reliable``; it is rendered here when not given.
+    by ``extract_reliable``. Without reliability (the no_reliability
+    ablation) it is one call, variant A accepted unconditionally, and the
+    record stays raw.
     """
-    if context is None:
-        context = location_context(sample)
-    prompt = build_prompt(sample, fs, context=context)
+    prompt = build_prompt(sample, fs, context)
     if not reliability_enabled:
-        record = extract_single(sample, fs, backend, prompt)
+        values = _request_variant(sample, fs, backend, prompt, seed=0)
+        record = _record(sample, fs, values, "variant_a")
         return PairExtraction(
             prompt=prompt, variant_a=record, variant_b=None, report=None, record=record
         )
@@ -317,7 +296,7 @@ def extract_reliable(
     for pair in PAIRS:
         try:
             results[pair] = extract_pair(
-                sample, factor_map[pair], backend, cfg, reliability_enabled, context
+                sample, factor_map[pair], backend, cfg, context, reliability_enabled
             )
         except Exception as exc:
             raise ExtractionError(f"{pair_label(*pair)}: {exc}") from exc

@@ -3,8 +3,9 @@ summarize into validated six-factor sets.
 
 The layer is a two-call protocol against the chat backend: a research
 prompt produces a brief per (dimension, level) pair, and a summary prompt
-compresses it into exactly six named, described factors. Factor sets that
-fail validation are re-requested with the violation list quoted back.
+compresses it into exactly ``FACTORS_PER_SET`` (six) named, described
+factors. Factor sets that fail validation are re-requested with the
+violation list quoted back.
 :func:`guide` takes every task of a run at once: the research -> summary
 chains of all uncached (task, pair) combinations share one thread pool, so
 a latency-bound backend sees as many calls in flight as in ``predict``.
@@ -20,7 +21,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Sequence
 
 from . import domain
 from .backend import ChatBackend, ChatRequest
@@ -32,7 +33,6 @@ from .domain import (
     PredictiveFactor,
     TaskSpec,
     pair_label,
-    unique_tasks,
     validate_factor_set,
     write_json_atomic,
 )
@@ -130,8 +130,8 @@ def _summary_request(
         f"Research brief for {_DIMENSION_FRAMING[report.dimension]} at "
         f"{_LEVEL_FRAMING[report.level]}:\n\n{report.body}\n\n"
         'Respond with a JSON object of the form {"factors": [{"name": "...", '
-        '"description": "..."}]} containing exactly 6 factors. Names must be '
-        "short distinct noun phrases; each description is one measurable sentence."
+        f'"description": "..."}}]}} containing exactly {domain.FACTORS_PER_SET} factors. '
+        "Names must be short distinct noun phrases; each description is one measurable sentence."
     )
     if feedback:
         user += f"\n\nYour previous factor set was rejected: {feedback}. Return a corrected JSON object."
@@ -190,7 +190,7 @@ def factor_cache_path(factor_dir: str | Path, task_id: str) -> Path:
 
 
 def guide(
-    tasks: Iterable[TaskSpec],
+    tasks: Sequence[TaskSpec],
     backend: ChatBackend,
     factor_dir: str | Path | None = None,
     workers: int = 4,
@@ -206,7 +206,6 @@ def guide(
     plus report bodies) before any failure is raised; then one
     :class:`GuidanceError` names every failing chain as ``<task>/<pair>``.
     """
-    tasks = unique_tasks(tasks)
     paths = {} if factor_dir is None else {
         task.id: factor_cache_path(factor_dir, task.id) for task in tasks
     }

@@ -33,7 +33,6 @@ from .domain import (
     PredictionOutput,
     TaskSpec,
     pair_label,
-    unique_tasks,
     write_text_atomic,
 )
 from .errors import ConfigError
@@ -199,11 +198,10 @@ def run_predictions(
 ) -> RunOutcome:
     """Run every (location, task, variant) job on a pool of 4 x ``workers`` threads.
 
-    Of a repeated task id only the first counts. One pool task runs one
-    job, except for ``no_factors``: one pool task runs every task of one
-    location in turn and extracts once for all of them (see
-    :func:`_run_jobs`). ``factor_maps`` maps task id to its guided factor
-    map and is required for the guided variants. Per-job failures are
+    One pool task runs one job, except for ``no_factors``: one pool task
+    runs every task of one location in turn and extracts once for all of
+    them (see :func:`_run_jobs`). ``factor_maps`` maps task id to its guided
+    factor map and is required for the guided variants. Per-job failures are
     collected (and counted), not propagated; failed jobs are excluded from
     the predictions. ``on_job_end`` is called with each successful job's
     transcript in that job's thread, before the transcript is dropped. If
@@ -211,7 +209,6 @@ def run_predictions(
     """
     rel_cfg = rel_cfg or ReliabilityConfig()
     factor_maps = factor_maps or {}
-    tasks = unique_tasks(tasks)
     for variant in variants:
         if variant in GUIDED_VARIANTS:
             missing = [t.id for t in tasks if t.id not in factor_maps]

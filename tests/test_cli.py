@@ -121,6 +121,7 @@ class TestRunConfig:
             ({"reliability": {"seq_weight": "0.6"}}, "reliability: seq_weight"),
             ({"reliability": {"max_repair_rounds": 2.7}}, "reliability: max_repair_rounds"),
             ({"reliability": {"max_repair_rounds": False}}, "reliability: max_repair_rounds"),
+            ({"tasks": [["running_amount"]]}, "tasks"),
         ],
         ids=[
             "task-without-description", "workers-not-a-number", "threshold-not-a-number",
@@ -128,7 +129,7 @@ class TestRunConfig:
             "replay-without-cassette", "radius-not-a-number", "poi-limit-zero",
             "rate-not-a-number", "threshold-names-its-field", "threshold-bool",
             "jaccard-weight-null", "seq-weight-string", "repair-rounds-fractional",
-            "repair-rounds-bool",
+            "repair-rounds-bool", "task-id-not-a-string",
         ],
     )
     def test_malformed_config_value_is_a_labelled_usage_error(self, tmp_path, capsys, doc, key):
@@ -240,6 +241,14 @@ class TestFactorsCommand:
         )
         assert code == 2
         assert "unknown task id" in capsys.readouterr().err
+        assert not (workspace / "out" / "manifest.json").exists()
+
+    def test_a_repeated_task_id_prints_one_set(self, workspace, capsys):
+        assert run_cli(
+            "factors", "--backend", "mock", "--tasks", "running_amount,running_amount",
+            "--factor-dir", str(workspace / "factors"), "--out", str(workspace / "out"),
+        ) == 0
+        assert capsys.readouterr().out.count("task=") == 1
 
 
 class TestIngestCommand:
@@ -392,6 +401,17 @@ class TestPredictCommand:
             f"full/running_amount/{location}.json",
             f"single_llm/running_amount/{location}.json",
         ]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "audit", "manifest.json", "predictions.jsonl", "similarity_reports.jsonl",
+        ]
+
+    def test_staging_trees_of_killed_runs_are_swept(self, workspace):
+        self._factors(workspace)
+        out_dir = workspace / "out"
+        (out_dir / "audit.99999.tmp").mkdir()
+        (out_dir / "audit.99999.tmp" / "x.json").write_text("{}")
+        (out_dir / "audit.99999.old").mkdir()
+        assert self._predict(workspace) == 0
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "audit", "manifest.json", "predictions.jsonl", "similarity_reports.jsonl",
         ]

@@ -1,18 +1,21 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from urbanmas.backend import CassetteBackend, MockBackend
-from urbanmas.domain import Dimension, Level, PAIRS, pair_label
+from urbanmas.domain import Dimension, Level, PAIRS, PoiEntry, builtin_task, pair_label
 from urbanmas.errors import ExtractionError, ExtractionParseError
 from urbanmas.extraction import (
     MAX_FIELD_CHARS,
+    PROMPT_POI_LIMIT,
     build_prompt,
     extract_pair,
     extract_reliable,
-    extract_single,
     extract_variants,
+    location_context,
 )
+from urbanmas.inference import infer_single_llm
 from urbanmas.reliability import ReliabilityConfig
 
 from conftest import FACTOR_NAMES, make_factor_set, scripted_extraction_backend
@@ -22,37 +25,82 @@ def _values(suffix: str = "") -> dict[str, str]:
     return {name: f"moderate {name} around the area{suffix}" for name in FACTOR_NAMES}
 
 
+def _prompt(sample, fs):
+    return build_prompt(sample, fs, location_context(sample))
+
+
+def _variants(sample, fs, backend):
+    return extract_variants(sample, fs, backend, _prompt(sample, fs))
+
+
+def _pair(sample, fs, backend, reliability_enabled=True):
+    return extract_pair(
+        sample, fs, backend, ReliabilityConfig(), location_context(sample), reliability_enabled
+    )
+
+
 class TestBuildPrompt:
     def test_rendering_is_deterministic(self, sample):
         fs = make_factor_set()
-        assert build_prompt(sample, fs) == build_prompt(sample, fs)
+        assert _prompt(sample, fs) == _prompt(sample, fs)
 
     def test_user_prompt_contains_all_factor_names(self, sample):
-        prompt = build_prompt(sample, make_factor_set())
+        prompt = _prompt(sample, make_factor_set())
         for name in FACTOR_NAMES:
             assert name in prompt.user
 
     def test_macro_prompts_never_carry_imagery(self, sample):
         fs = make_factor_set(level=Level.MACRO)
-        assert build_prompt(sample, fs).image_refs == ()
+        assert _prompt(sample, fs).image_refs == ()
 
     def test_street_prompts_carry_imagery_when_available(self, sample):
         fs = make_factor_set(level=Level.STREET)
-        assert build_prompt(sample, fs).image_refs == sample.streetview_refs
+        assert _prompt(sample, fs).image_refs == sample.streetview_refs
 
-    def test_poi_digest_is_truncated_closest_first(self, sample):
-        prompt = build_prompt(sample, make_factor_set(), max_pois=2)
-        assert "Tokyo Tower" in prompt.user
-        assert "Zojoji Temple" in prompt.user
-        assert "Shiba Park" not in prompt.user
-        assert prompt.user.index("Tokyo Tower") < prompt.user.index("Zojoji Temple")
+    def test_poi_digest_keeps_the_closest_limit_closest_first(self, sample):
+        # Listed farthest first, so the order in the prompt comes from the sort.
+        pois = tuple(
+            PoiEntry(f"poi {i:02d}", "amenity:cafe", 10.0 * i)
+            for i in range(PROMPT_POI_LIMIT + 1, 0, -1)
+        )
+        prompt = _prompt(replace(sample, pois=pois), make_factor_set())
+        names = [f"poi {i:02d}" for i in range(1, PROMPT_POI_LIMIT + 1)]
+        assert [prompt.user.index(f"- {n} (") for n in names] == sorted(
+            prompt.user.index(f"- {n} (") for n in names
+        )
+        assert f"poi {PROMPT_POI_LIMIT + 1:02d}" not in prompt.user
+
+
+class TestOneContextPath:
+    def test_extract_refine_and_single_llm_prompts_carry_the_location_context(self, sample):
+        target = FACTOR_NAMES[4]
+        values_b = dict(_values(), **{target: "entirely unrelated construction hoarding text"})
+        backend = scripted_extraction_backend({0: _values(), 1: values_b})
+        prompts = {}
+        complete = backend.complete
+
+        def recording(r):
+            kind = "refine" if "Value A:" in r.user_prompt else (
+                "extract" if "exactly these keys" in r.user_prompt else "single"
+            )
+            prompts.setdefault(kind, r.user_prompt)
+            return complete(r)
+
+        backend.complete = recording
+        factor_map = {(d, r): make_factor_set(dimension=d, level=r) for d, r in PAIRS}
+        extract_reliable(sample, factor_map, backend)
+        infer_single_llm(builtin_task("running_amount"), sample, backend)
+        assert sorted(prompts) == ["extract", "refine", "single"]
+        context = location_context(sample)
+        for kind, user_prompt in prompts.items():
+            assert context in user_prompt, kind
 
 
 class TestExtractVariants:
     def test_two_records_with_matching_keys(self, sample):
         backend = scripted_extraction_backend({0: _values(), 1: _values(" alt")})
         fs = make_factor_set()
-        var_a, var_b = extract_variants(sample, fs, backend)
+        var_a, var_b = _variants(sample, fs, backend)
         assert var_a.field_names == var_b.field_names == fs.factor_names
         assert var_a.status == var_b.status == "raw"
         assert {v.provenance for v in var_a.fields.values()} == {"variant_a"}
@@ -69,7 +117,7 @@ class TestExtractVariants:
         )
         backend.add_rule(lambda r: r.variant_seed == 1, json.dumps(incomplete))
         backend.add_rule(lambda r: r.variant_seed == 0, json.dumps(_values()))
-        var_a, var_b = extract_variants(sample, fs, backend)
+        var_a, var_b = _variants(sample, fs, backend)
         assert backend.call_count == 3
         assert var_b.fields[FACTOR_NAMES[0]].text
 
@@ -78,7 +126,7 @@ class TestExtractVariants:
         backend = MockBackend()
         backend.add_rule(lambda r: True, "no json here")
         with pytest.raises(ExtractionParseError, match="environment_street"):
-            extract_variants(sample, fs, backend)
+            _variants(sample, fs, backend)
         assert backend.call_count == 2  # one ask + one re-ask for variant A
 
     def test_blank_value_counts_as_missing(self, sample):
@@ -87,30 +135,32 @@ class TestExtractVariants:
         backend = MockBackend()
         backend.add_rule(lambda r: "unusable" in r.user_prompt, json.dumps(_values()))
         backend.add_rule(lambda r: True, json.dumps(blanks))
-        var_a, _ = extract_variants(sample, fs, backend)
+        var_a, _ = _variants(sample, fs, backend)
         assert var_a.fields[FACTOR_NAMES[2]].text.strip()
 
     def test_values_are_capped(self, sample):
         fs = make_factor_set()
         oversized = dict(_values(), **{FACTOR_NAMES[0]: "x" * 1000})
         backend = scripted_extraction_backend({0: oversized, 1: oversized})
-        var_a, _ = extract_variants(sample, fs, backend)
+        var_a, _ = _variants(sample, fs, backend)
         assert len(var_a.fields[FACTOR_NAMES[0]].text) == MAX_FIELD_CHARS
 
 
-class TestExtractSingle:
+class TestExtractPairWithoutReliability:
     def test_one_call_and_raw_passthrough(self, sample):
         backend = scripted_extraction_backend({0: _values()})
-        record = extract_single(sample, make_factor_set(), backend)
+        result = _pair(sample, make_factor_set(), backend, reliability_enabled=False)
         assert backend.call_count == 1
-        assert record.status == "raw"
-        assert {v.provenance for v in record.fields.values()} == {"variant_a"}
+        assert result.record.status == "raw"
+        assert {v.provenance for v in result.record.fields.values()} == {"variant_a"}
+        assert result.variant_a is result.record
+        assert result.variant_b is None and result.report is None
 
 
 class TestExtractPair:
     def test_identical_variants_settle_stable_without_refines(self, sample):
         backend = scripted_extraction_backend({0: _values(), 1: _values()})
-        result = extract_pair(sample, make_factor_set(), backend, ReliabilityConfig())
+        result = _pair(sample, make_factor_set(), backend)
         assert result.record.status == "stable"
         assert result.refine_calls == 0
         assert backend.call_count == 2
@@ -127,7 +177,7 @@ class TestExtractPair:
             return False
 
         backend.add_rule(observe, "unused")
-        result = extract_pair(sample, make_factor_set(), backend, ReliabilityConfig())
+        result = _pair(sample, make_factor_set(), backend)
         assert result.record.status == "refined"
         assert result.refine_calls == 1
         assert result.report.conflicting == {target}

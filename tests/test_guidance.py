@@ -125,6 +125,22 @@ class TestGuide:
         for fs in factor_map.values():
             assert validate_factor_set(fs) == []
 
+    def test_factor_count_follows_the_constant(self, task, monkeypatch):
+        monkeypatch.setattr(domain, "FACTORS_PER_SET", 5)
+        summaries = []
+
+        def observe(r):  # never matches; records summary prompts on the way through
+            if "distill urban research briefs" in r.system_prompt:
+                summaries.append(r.user_prompt)
+            return False
+
+        backend = MockBackend().add_rule(observe, "unused")
+        factor_map = guide([task], backend)[task.id]
+        assert set(factor_map) == set(PAIRS)
+        assert all(len(fs.factors) == 5 for fs in factor_map.values())
+        assert len(summaries) == 4
+        assert all("exactly 5 factors" in user for user in summaries)
+
     def test_cache_round_trip_is_identical(self, task, tmp_path):
         first = guide([task], MockBackend(), factor_dir=tmp_path)[task.id]
         assert factor_cache_path(tmp_path, task.id).exists()
