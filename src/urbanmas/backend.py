@@ -158,7 +158,7 @@ def _mock_research(req: ChatRequest) -> str:
     seed = _digest("research", req.user_prompt, req.variant_seed)
     names = list(_FACTOR_VOCAB)
     picked = []
-    for i in range(6):
+    for i in range(domain.FACTORS_PER_SET):
         picked.append(names.pop((seed >> (i * 4)) % len(names)))
     lines = [
         "Synthesis of the most influential predictive factors for this task, "

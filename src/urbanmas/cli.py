@@ -329,11 +329,14 @@ def cmd_predict(cfg: RunConfig) -> int:
             factor_maps[task.id] = load_factor_cache(cache_path, task)
 
     # Each job writes its audit file into a staging tree as it ends; the
-    # tree replaces audit/ whole once every job has ended. Trees that a
-    # killed run left behind go first.
+    # tree replaces audit/ whole once every job has ended. The temp files
+    # and trees that a killed run left behind go first.
     out_dir = Path(cfg.out_dir)
-    for stale in [*out_dir.glob("audit.*.tmp"), *out_dir.glob("audit.*.old")]:
-        shutil.rmtree(stale, ignore_errors=True)
+    for stale in [*out_dir.glob("*.tmp"), *out_dir.glob("audit.*.old")]:
+        if stale.is_dir():
+            shutil.rmtree(stale)
+        else:
+            stale.unlink()
     staging = out_dir / f"audit.{os.getpid()}.tmp"
     for variant in cfg.variants:
         for task in tasks:

@@ -36,7 +36,7 @@ class CassetteFormatError(UrbanMasError):
 # --- geo ingestion --------------------------------------------------------
 
 class UpstreamUnavailableError(UrbanMasError):
-    """A geo upstream (geocoder, POI, street-view) could not be reached."""
+    """A geo upstream (the geocoder or the POI endpoint) could not be reached."""
 
 
 class OfflineMissError(UrbanMasError):

@@ -1,11 +1,15 @@
 """Resolve location coordinates into address, POI and street-view context.
 
-Three upstreams are consulted (a Nominatim-compatible reverse geocoder, an
-Overpass-compatible POI endpoint, and a street-view metadata endpoint), each
-behind a disk cache keyed by coordinates rounded to 5 decimal places (~1 m).
-With ``offline=True`` no network is ever touched: cache hits are served and
-misses raise :class:`OfflineMissError`. Only live geocoder calls are paced,
-at least one second apart, to respect the public service's usage policy.
+Two upstreams are consulted (a Nominatim-compatible reverse geocoder and an
+Overpass-compatible POI endpoint), each behind a disk cache keyed by
+coordinates rounded to 5 decimal places (~1 m). With ``offline=True`` no
+network is ever touched: cache hits are served and misses raise
+:class:`OfflineMissError`. Only live geocoder calls are paced, at least
+``GEOCODER_INTERVAL_S`` apart, to respect the public service's usage policy.
+
+Street-view references are never fetched: they come from the dataset or from
+a ``streetview_<lat>_<lon>.json`` entry (``{"refs": [...]}``) in the same
+cache, and no entry means no imagery.
 
 POI caches store raw entries (name, category, coordinates); distance,
 radius filtering and the result limit are applied on read so configuration
@@ -33,8 +37,8 @@ EARTH_RADIUS_M = 6371000.0
 
 DEFAULT_GEOCODER_URL = "https://nominatim.openstreetmap.org/reverse"
 DEFAULT_OVERPASS_URL = "https://overpass-api.de/api/interpreter"
-DEFAULT_STREETVIEW_URL = "https://maps.googleapis.com/maps/api/streetview/metadata"
 USER_AGENT = "urbanmas/0.1 (research pipeline)"
+GEOCODER_INTERVAL_S = 1.0
 
 # Per kind of cache entry: the key it holds and the shape its value must
 # have, checked on every read and before every write.
@@ -43,10 +47,6 @@ _CACHE_SHAPES: dict[str, tuple[str, Callable[[object], bool]]] = {
     "pois": ("elements", lambda v: isinstance(v, list) and all(map(_is_poi_entry, v))),
     "streetview": ("refs", lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v)),
 }
-
-# Street-view metadata statuses for "no imagery here"; any other status but
-# OK (a quota or key refusal, a server error) says nothing about coverage.
-_NO_IMAGERY = ("ZERO_RESULTS", "NOT_FOUND")
 
 # Tag keys inspected, in order, to derive a POI category label.
 _CATEGORY_TAGS = (
@@ -74,9 +74,6 @@ class IngestConfig:
     offline: bool = False
     geocoder_url: str = DEFAULT_GEOCODER_URL
     overpass_url: str = DEFAULT_OVERPASS_URL
-    streetview_url: str = DEFAULT_STREETVIEW_URL
-    streetview_api_key: str = ""
-    min_request_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.poi_radius_m <= 0:
@@ -100,11 +97,12 @@ def _coord_key(lat: float, lon: float) -> str:
 
 
 class GeoClient:
-    """Cached, offline-capable client for the three geo upstreams.
+    """Cached, offline-capable client for the two geo upstreams and the
+    cached street-view references.
 
     ``http_get`` is injectable so tests can prove that offline mode makes
-    zero network attempts. Counters track cache hits, misses and live
-    calls for the ingest summary.
+    zero network attempts. Counters track the cache hits, misses and live
+    calls of the upstream lookups for the ingest summary.
     """
 
     def __init__(self, config: IngestConfig, http_get: HttpGet | None = None):
@@ -134,11 +132,6 @@ class GeoClient:
             if not valid(value):
                 logger.warning("ignoring corrupt geo cache entry %s", path)
                 value = None
-        with self._stats_lock:
-            if value is None:
-                self.cache_misses += 1
-            else:
-                self.cache_hits += 1
         return value
 
     def _lookup(
@@ -148,13 +141,16 @@ class GeoClient:
         """The cached value, or one GET (paced if geocoding) whose body ``parse``
         turns into the value to cache; an unusable body is an upstream failure."""
         value = self._cache_read(kind, lat, lon)
-        if value is not None:
-            return value
+        with self._stats_lock:
+            if value is not None:
+                self.cache_hits += 1
+                return value
+            self.cache_misses += 1
         if self.config.offline:
             raise OfflineMissError(f"no cached {kind} entry for {_coord_key(lat, lon)}")
         if kind == "reverse":
             with self._throttle_lock:
-                wait = self.config.min_request_interval_s - (time.monotonic() - self._last_request)
+                wait = GEOCODER_INTERVAL_S - (time.monotonic() - self._last_request)
                 if wait > 0:
                     time.sleep(wait)
                 self._last_request = time.monotonic()
@@ -215,36 +211,18 @@ class GeoClient:
         return pois[: self.config.poi_limit]
 
     def streetview_refs(self, lat: float, lon: float) -> list[str]:
-        """Stable street-view image references; an empty list means no imagery.
-
-        A lookup the endpoint refused (any status but OK, ZERO_RESULTS or
-        NOT_FOUND) raises :class:`UpstreamUnavailableError` and is not cached.
-        """
-        url, key = self.config.streetview_url, self.config.streetview_api_key
-
-        def parse(meta: dict) -> list[str]:
-            status = meta.get("status")
-            if status == "OK":
-                base = url.rsplit("/", 1)[0]
-                return [f"{base}?pano={meta.get('pano_id', '')}&size=640x640&key={key}"]
-            if status in _NO_IMAGERY:
-                return []
-            raise UpstreamUnavailableError(f"{url} answered status {status!r}")
-
-        params = {"location": f"{lat},{lon}", "key": key}
-        try:
-            return self._lookup("streetview", lat, lon, url, params, parse)
-        except OfflineMissError:
-            # No coverage recorded is not an error: imagery is optional downstream.
-            return []
+        """The street-view references cached for these coordinates; no entry
+        means no imagery. Nothing is fetched, online or offline."""
+        return self._cache_read("streetview", lat, lon) or []
 
     def enrich(self, sample: LocationSample) -> LocationSample:
         """Populate address, POIs and street-view refs on a copy of the sample.
 
         Already-populated context is kept, which makes enrichment
-        idempotent. A single failing upstream degrades to a warning and an
-        empty field; the call fails only when every upstream failed and
-        nothing could be populated.
+        idempotent. A failing upstream or an offline miss degrades to a
+        warning and an empty field. Online, the call fails only when nothing
+        could be populated: the geocoder and the POI lookup both failed and
+        no street-view refs are cached.
         """
         failures: list[str] = []
 
@@ -264,15 +242,11 @@ class GeoClient:
                 failures.append(f"pois: {exc}")
                 logger.warning("enrich %s: POIs unavailable (%s)", sample.id, exc)
 
-        refs = sample.streetview_refs
-        if not refs:
-            try:
-                refs = tuple(self.streetview_refs(sample.latitude, sample.longitude))
-            except (UpstreamUnavailableError, OfflineMissError) as exc:
-                failures.append(f"streetview: {exc}")
-                logger.warning("enrich %s: street-view unavailable (%s)", sample.id, exc)
+        refs = sample.streetview_refs or tuple(
+            self.streetview_refs(sample.latitude, sample.longitude)
+        )
 
-        if len(failures) == 3:
+        if len(failures) == 2 and not refs and not self.config.offline:
             raise EnrichmentError(f"all upstreams failed for {sample.id}: {'; '.join(failures)}")
         return replace(sample, address=address, pois=pois, streetview_refs=refs)
 

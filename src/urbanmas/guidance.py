@@ -74,6 +74,11 @@ class ResearchReport:
             raise ValueError("report body must be nonempty")
 
 
+def _count_word(n: int) -> str:
+    words = "zero one two three four five six seven eight nine ten eleven twelve".split()
+    return words[n] if 0 <= n < len(words) else str(n)
+
+
 def _research_request(task: TaskSpec, d: Dimension, r: Level, seed: int) -> ChatRequest:
     system = (
         "You are an urban research analyst. Produce focused, evidence-minded "
@@ -82,8 +87,8 @@ def _research_request(task: TaskSpec, d: Dimension, r: Level, seed: int) -> Chat
     user = (
         f"Prediction task: {task.description}\n"
         f"Scope the analysis to {_DIMENSION_FRAMING[d]} at {_LEVEL_FRAMING[r]}.\n\n"
-        "Identify the six most influential predictive factors for this task "
-        "within that scope. Write a brief report that discusses the evidence "
+        f"Identify the {_count_word(domain.FACTORS_PER_SET)} most influential predictive "
+        "factors for this task within that scope. Write a brief report that discusses the evidence "
         "and lists the factors as numbered lines in the form "
         "'1. <factor name>: <one-sentence measurable definition>'."
     )

@@ -23,12 +23,10 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def answer_every_upstream(url, params):
-    """A fake geo transport: an address, no POIs and no street-view imagery."""
+    """A fake geo transport: an address and no POIs."""
     if "reverse" in url:
         return 200, json.dumps({"display_name": "Addr"})
-    if "interpreter" in url:
-        return 200, json.dumps({"elements": []})
-    return 200, json.dumps({"status": "ZERO_RESULTS"})
+    return 200, json.dumps({"elements": []})
 
 
 @pytest.fixture

@@ -416,6 +416,20 @@ class TestPredictCommand:
             "audit", "manifest.json", "predictions.jsonl", "similarity_reports.jsonl",
         ]
 
+    def test_temp_files_of_killed_writes_are_swept(self, workspace):
+        self._factors(workspace)
+        out_dir = workspace / "out"
+        (out_dir / "predictions.jsonl.99999.1.tmp").write_text('{"half": ')
+        (out_dir / "audit.99998.tmp").write_text("a file, not a tree")
+        (out_dir / "audit.99997.old").write_text("a file, not a tree")
+        (out_dir / "other.99999.tmp" / "deep").mkdir(parents=True)
+        (out_dir / "notes.txt").write_text("kept")
+        assert self._predict(workspace) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "audit", "manifest.json", "notes.txt", "predictions.jsonl",
+            "similarity_reports.jsonl",
+        ]
+
     def test_missing_factor_cache_is_actionable(self, workspace, capsys):
         code = run_cli(
             "predict", "--backend", "mock",

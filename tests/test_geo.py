@@ -73,7 +73,7 @@ class TestReverseGeocode:
             calls.append(params)
             return 200, json.dumps({"display_name": "Somewhere, Testville"})
 
-        cfg = IngestConfig(cache_dir=tmp_path, min_request_interval_s=0.0)
+        cfg = IngestConfig(cache_dir=tmp_path)
         client = GeoClient(cfg, http_get=fake_get)
         first = client.reverse_geocode(1.234567, 2.345678)
         # Differs only beyond the 5th decimal (~sub-meter): same cache key.
@@ -82,7 +82,7 @@ class TestReverseGeocode:
         assert len(calls) == 1
 
     def test_upstream_http_error_is_wrapped(self, tmp_path):
-        cfg = IngestConfig(cache_dir=tmp_path, min_request_interval_s=0.0)
+        cfg = IngestConfig(cache_dir=tmp_path)
         client = GeoClient(cfg, http_get=lambda url, params: (503, "down"))
         with pytest.raises(UpstreamUnavailableError, match="HTTP 503"):
             client.reverse_geocode(1.0, 2.0)
@@ -92,7 +92,7 @@ class TestReverseGeocode:
 
         sleeps = []
         monkeypatch.setattr(geo_mod.time, "sleep", sleeps.append)
-        cfg = IngestConfig(cache_dir=tmp_path, min_request_interval_s=1.0)
+        cfg = IngestConfig(cache_dir=tmp_path)
         client = GeoClient(
             cfg, http_get=lambda url, params: (200, json.dumps({"display_name": "A"}))
         )
@@ -133,7 +133,7 @@ class TestNearbyPois:
         assert [p.name for p in pois] == ["Tokyo Tower"]
 
     def test_empty_upstream_result_is_valid(self, tmp_path):
-        cfg = IngestConfig(cache_dir=tmp_path, min_request_interval_s=0.0)
+        cfg = IngestConfig(cache_dir=tmp_path)
         client = GeoClient(cfg, http_get=lambda url, params: (200, json.dumps({"elements": []})))
         assert client.nearby_pois(1.0, 2.0) == []
 
@@ -147,7 +147,7 @@ class TestNearbyPois:
                 ]
             }
         )
-        cfg = IngestConfig(cache_dir=tmp_path, min_request_interval_s=0.0)
+        cfg = IngestConfig(cache_dir=tmp_path)
         client = GeoClient(cfg, http_get=lambda url, params: (200, body))
         pois = client.nearby_pois(1.0, 2.0)
         assert [(p.name, p.category) for p in pois] == [
@@ -194,7 +194,8 @@ class TestCorruptCacheEntry:
             with pytest.raises(OfflineMissError):
                 lookup(*TOKYO)
         assert f"ignoring corrupt geo cache entry {path}" in caplog.text
-        assert (client.cache_hits, client.cache_misses) == (0, 1)
+        misses = 0 if kind == "streetview" else 1  # a street-view read is not a lookup
+        assert (client.cache_hits, client.cache_misses) == (0, misses)
 
     def test_online_read_rewrites_the_entry(self, tmp_path):
         path = tmp_path / self.POIS
@@ -202,7 +203,7 @@ class TestCorruptCacheEntry:
         body = json.dumps(
             {"elements": [{"lat": 35.6586, "lon": 139.7454, "tags": {"name": "Tokyo Tower"}}]}
         )
-        cfg = IngestConfig(cache_dir=tmp_path, min_request_interval_s=0.0)
+        cfg = IngestConfig(cache_dir=tmp_path)
         client = GeoClient(cfg, http_get=lambda url, params: (200, body))
         assert [p.name for p in client.nearby_pois(*TOKYO)] == ["Tokyo Tower"]
         assert json.loads(path.read_text())["elements"][0]["name"] == "Tokyo Tower"
@@ -230,28 +231,12 @@ class TestStreetview:
         client = offline_client(tmp_path)
         assert client.streetview_refs(5.0, 6.0) == []
 
-    @staticmethod
-    def _answering(tmp_path, replies: list[dict]) -> GeoClient:
-        cfg = IngestConfig(cache_dir=tmp_path, min_request_interval_s=0.0)
-        return GeoClient(cfg, http_get=lambda url, params: (200, json.dumps(replies.pop(0))))
-
-    @pytest.mark.parametrize("status", ["ZERO_RESULTS", "NOT_FOUND"])
-    def test_no_imagery_is_cached_as_empty(self, tmp_path, status):
-        client = self._answering(tmp_path, [{"status": status}])
-        assert client.streetview_refs(5.0, 6.0) == []
-        assert client.streetview_refs(5.0, 6.0) == []
-        assert client.network_calls == 1
-
-    def test_refused_lookup_is_an_error_and_is_asked_again(self, tmp_path):
-        client = self._answering(
-            tmp_path, [{"status": "OVER_QUERY_LIMIT"}, {"status": "OK", "pano_id": "p1"}]
-        )
-        with pytest.raises(UpstreamUnavailableError, match="OVER_QUERY_LIMIT"):
-            client.streetview_refs(5.0, 6.0)
-        assert list(tmp_path.iterdir()) == []
-        [ref] = client.streetview_refs(5.0, 6.0)
-        assert "pano=p1" in ref
-        assert client.network_calls == 2
+    def test_online_miss_is_empty_and_sends_nothing(self, tmp_path):
+        calls = []
+        client = GeoClient(IngestConfig(cache_dir=tmp_path), http_get=lambda u, p: calls.append(u))
+        assert client.streetview_refs(*TOKYO) == []
+        assert calls == []
+        assert client.network_calls == 0
 
 
 # Per upstream: a fragment of its default URL, which its errors name, a body
@@ -259,7 +244,6 @@ class TestStreetview:
 UPSTREAMS = {
     "reverse_geocode": ("reverse", {"display_name": "Addr"}, "address unavailable"),
     "nearby_pois": ("interpreter", {"elements": []}, "POIs unavailable"),
-    "streetview_refs": ("streetview", {"status": "ZERO_RESULTS"}, "street-view unavailable"),
 }
 
 
@@ -278,7 +262,7 @@ class TestUnusableBody:
                 return 200, body
             return 200, json.dumps(next(good for frag, good, _ in UPSTREAMS.values() if frag in url))
 
-        cfg = IngestConfig(cache_dir=tmp_path, min_request_interval_s=0.0)
+        cfg = IngestConfig(cache_dir=tmp_path)
         return GeoClient(cfg, http_get=fake_get)
 
     @pytest.mark.parametrize("method, body", CASES)
@@ -322,7 +306,7 @@ class TestEnrich:
                 return 200, json.dumps({"display_name": "Edge Case Street 1"})
             return 503, "down"
 
-        cfg = IngestConfig(cache_dir=tmp_path, min_request_interval_s=0.0)
+        cfg = IngestConfig(cache_dir=tmp_path)
         client = GeoClient(cfg, http_get=geocoder_only)
         sample = LocationSample(id="x", latitude=1.0, longitude=2.0)
         with caplog.at_level("WARNING"):
@@ -332,21 +316,47 @@ class TestEnrich:
         assert any("POIs unavailable" in r.message for r in caplog.records)
 
     def test_all_upstreams_failing_is_an_error(self, tmp_path):
-        cfg = IngestConfig(cache_dir=tmp_path, min_request_interval_s=0.0)
+        cfg = IngestConfig(cache_dir=tmp_path)
         client = GeoClient(cfg, http_get=lambda url, params: (503, "down"))
         sample = LocationSample(id="x", latitude=1.0, longitude=2.0)
         with pytest.raises(EnrichmentError, match="all upstreams failed"):
             client.enrich(sample)
 
-    def test_second_run_is_all_cache_hits(self, tmp_path):
+    def test_live_enrich_asks_two_upstreams_and_stores_no_key(self, tmp_path):
+        calls = []
+
         def fake_get(url, params):
+            calls.append(url)
             if "reverse" in url:
                 return 200, json.dumps({"display_name": "Addr"})
             if "interpreter" in url:
                 return 200, json.dumps({"elements": []})
-            return 200, json.dumps({"status": "ZERO_RESULTS"})
+            return 200, json.dumps({"status": "OK", "pano_id": "p1"})
 
-        cfg = IngestConfig(cache_dir=tmp_path, min_request_interval_s=0.0)
+        client = GeoClient(IngestConfig(cache_dir=tmp_path), http_get=fake_get)
+        enriched = client.enrich(LocationSample(id="x", latitude=1.0, longitude=2.0))
+        assert len(calls) == 2
+        assert enriched.address == "Addr"
+        assert "key=" not in json.dumps(enriched.to_dict())
+        assert all("key=" not in p.read_text() for p in tmp_path.iterdir())
+
+    def test_cached_refs_alone_are_enough_online(self, tmp_path):
+        (tmp_path / "streetview_1.00000_2.00000.json").write_text(json.dumps({"refs": ["a.jpg"]}))
+        client = GeoClient(IngestConfig(cache_dir=tmp_path), http_get=lambda u, p: (503, "down"))
+        enriched = client.enrich(LocationSample(id="x", latitude=1.0, longitude=2.0))
+        assert (enriched.address, enriched.pois, enriched.streetview_refs) == (None, (), ("a.jpg",))
+
+    def test_offline_empty_cache_returns_the_sample_unchanged(self, tmp_path):
+        sample = LocationSample(id="x", latitude=1.0, longitude=2.0)
+        assert offline_client(tmp_path).enrich(sample) == sample
+
+    def test_second_run_is_all_cache_hits(self, tmp_path):
+        def fake_get(url, params):
+            if "reverse" in url:
+                return 200, json.dumps({"display_name": "Addr"})
+            return 200, json.dumps({"elements": []})
+
+        cfg = IngestConfig(cache_dir=tmp_path)
         client = GeoClient(cfg, http_get=fake_get)
         sample = LocationSample(id="x", latitude=1.0, longitude=2.0)
         client.enrich(sample)
@@ -354,10 +364,10 @@ class TestEnrich:
 
         second = GeoClient(cfg, http_get=fake_get)
         second.enrich(sample)
-        assert first_network == 3
+        assert first_network == 2
         assert second.network_calls == 0
         assert second.cache_misses == 0
-        assert second.cache_hits == 3
+        assert second.cache_hits == 2
 
 
 class TestDefaultTransport:
@@ -373,13 +383,13 @@ class TestDefaultTransport:
             return answer_every_upstream(url, params)
 
         monkeypatch.setattr(geo_mod, "_http_get", recorder)
-        client = GeoClient(IngestConfig(cache_dir=tmp_path, min_request_interval_s=0.0))
+        client = GeoClient(IngestConfig(cache_dir=tmp_path))
         client.enrich(LocationSample(id="x", latitude=1.0, longitude=2.0))
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 class TestPacing:
-    """Only the geocoder is paced; the POI and street-view calls are not."""
+    """Only the geocoder is paced; the POI calls are not."""
 
     @pytest.fixture
     def sleeps(self, monkeypatch):
@@ -393,11 +403,11 @@ class TestPacing:
         client = GeoClient(IngestConfig(cache_dir=tmp_path), http_get=answer_every_upstream)
         client.enrich(LocationSample(id="x", latitude=1.0, longitude=2.0))
         assert sleeps == []
-        assert client.network_calls == 3
+        assert client.network_calls == 2
 
     def test_two_locations_sleep_once_before_the_second_geocoder_call(self, tmp_path, sleeps):
         client = GeoClient(IngestConfig(cache_dir=tmp_path), http_get=answer_every_upstream)
         client.enrich(LocationSample(id="x", latitude=1.0, longitude=2.0))
         client.enrich(LocationSample(id="y", latitude=3.0, longitude=4.0))
         assert len(sleeps) == 1 and 0.9 < sleeps[0] <= 1.0
-        assert client.network_calls == 6
+        assert client.network_calls == 4

@@ -141,6 +141,22 @@ class TestGuide:
         assert len(summaries) == 4
         assert all("exactly 5 factors" in user for user in summaries)
 
+    def test_research_asks_for_the_constant_count(self, task, monkeypatch):
+        monkeypatch.setattr(domain, "FACTORS_PER_SET", 5)
+        asked = []
+
+        def observe(r):  # never matches; records research prompts on the way through
+            if "urban research analyst" in r.system_prompt:
+                asked.append(r.user_prompt)
+            return False
+
+        factor_map = guide([task], MockBackend().add_rule(observe, "unused"))[task.id]
+        assert all(len(fs.factors) == 5 for fs in factor_map.values())
+        assert len(asked) == 4
+        assert all("the five most influential predictive factors" in user for user in asked)
+        report = research(task, Dimension.SOCIAL, Level.MACRO, MockBackend())
+        assert len(re.findall(r"^\s*\d+\.\s", report.body, re.MULTILINE)) == 5
+
     def test_cache_round_trip_is_identical(self, task, tmp_path):
         first = guide([task], MockBackend(), factor_dir=tmp_path)[task.id]
         assert factor_cache_path(tmp_path, task.id).exists()
@@ -278,7 +294,7 @@ class TestGenericFactors:
     def test_placeholder_map_covers_all_pairs_and_validates(self, task):
         placeholder = generic_factor_map(task)
         assert set(placeholder) == set(PAIRS)
-        assert len(GENERIC_FACTORS) == 6
+        assert len(GENERIC_FACTORS) == domain.FACTORS_PER_SET
         for fs in placeholder.values():
             assert validate_factor_set(fs) == []
             assert fs.factors == GENERIC_FACTORS

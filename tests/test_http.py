@@ -142,9 +142,7 @@ class TestLivePost:
 
 class TestGeoGet:
     def test_query_string_and_user_agent(self, server, tmp_path):
-        cfg = IngestConfig(
-            cache_dir=tmp_path, geocoder_url=server.base + "/reverse", min_request_interval_s=0.0
-        )
+        cfg = IngestConfig(cache_dir=tmp_path, geocoder_url=server.base + "/reverse")
         assert GeoClient(cfg).reverse_geocode(35.6586, 139.7454) == "Shiba Park, Tokyo"
         [got] = server.received
         path, _, query = got.path.partition("?")
@@ -163,8 +161,7 @@ from urbanmas.geo import GeoClient, IngestConfig
 
 base, cache_dir = sys.argv[1:]
 LiveBackend(LiveConfig(api_base=base, api_key="k", model="m")).complete(ChatRequest("s", "u"))
-GeoClient(IngestConfig(cache_dir=cache_dir, geocoder_url=base, min_request_interval_s=0.0)
-          ).reverse_geocode(1.0, 2.0)
+GeoClient(IngestConfig(cache_dir=cache_dir, geocoder_url=base)).reverse_geocode(1.0, 2.0)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "requests"))
 """
     env = {"PYTHONPATH": str(ROOT / "src"), "no_proxy": "*", "PATH": ""}
