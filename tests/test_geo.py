@@ -238,6 +238,40 @@ class TestStreetview:
         assert calls == []
         assert client.network_calls == 0
 
+    def test_empty_entry_is_no_imagery_not_a_corrupt_entry(self, tmp_path, caplog):
+        (tmp_path / "streetview_35.65860_139.74540.json").write_text(json.dumps({"refs": []}))
+        assert offline_client(tmp_path).streetview_refs(*TOKYO) == []
+        assert "corrupt" not in caplog.text
+
+
+class TestUnusableStreetviewEntry:
+    """A street-view entry is written by hand, not fetched: one that cannot be
+    read is no imagery and a warning, online or offline, and is never asked for."""
+
+    BODIES = ["[]", "null", '"x"', "{}", '{"refs": [1]}']
+    ENTRY = "streetview_1.00000_2.00000.json"
+
+    @pytest.mark.parametrize("body", BODIES)
+    @pytest.mark.parametrize("offline", [True, False], ids=["offline", "online"])
+    def test_read_is_empty_with_a_warning(self, tmp_path, caplog, body, offline):
+        path = tmp_path / self.ENTRY
+        path.write_text(body)
+        calls = []
+        cfg = IngestConfig(cache_dir=tmp_path, offline=offline)
+        client = GeoClient(cfg, http_get=lambda url, params: calls.append(url))
+        assert client.streetview_refs(1.0, 2.0) == []
+        assert f"ignoring corrupt geo cache entry {path}" in caplog.text
+        assert calls == []
+        assert path.read_text() == body
+
+    @pytest.mark.parametrize("body", BODIES)
+    def test_enrich_keeps_the_upstream_context(self, tmp_path, body):
+        (tmp_path / self.ENTRY).write_text(body)
+        client = GeoClient(IngestConfig(cache_dir=tmp_path), http_get=answer_every_upstream)
+        enriched = client.enrich(LocationSample(id="x", latitude=1.0, longitude=2.0))
+        assert (enriched.address, enriched.pois, enriched.streetview_refs) == ("Addr", (), ())
+        assert client.network_calls == 2
+
 
 # Per upstream: a fragment of its default URL, which its errors name, a body
 # it answers well, and the warning enrich logs when it fails.
