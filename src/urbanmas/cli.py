@@ -285,14 +285,14 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
     with_address = sum(1 for s in enriched.values() if s.address)
     with_pois = sum(1 for s in enriched.values() if s.pois)
-    total_requests = client.cache_hits + client.cache_misses
-    hit_pct = 100.0 * client.cache_hits / total_requests if total_requests else 0.0
+    lookups = client.cache_hits + client.cache_misses
+    if lookups:
+        hits = f"{client.cache_hits}/{lookups} ({100.0 * client.cache_hits / lookups:.0f}%)"
+    else:
+        hits = "no lookups needed (every sample had an address and POIs)"
     print(f"ingested {len(samples)} sample(s) -> {out_path}")
     print(f"  with address: {with_address}; with POIs: {with_pois}")
-    print(
-        f"  cache hits: {client.cache_hits}/{total_requests} ({hit_pct:.0f}%); "
-        f"network calls: {client.network_calls}"
-    )
+    print(f"  cache hits: {hits}; network calls: {client.network_calls}")
     if hard_failures:
         print(f"  failed completely: {len(hard_failures)}: {sorted(hard_failures)}")
     return 1 if len(hard_failures) == len(samples) else 0

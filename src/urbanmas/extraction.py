@@ -233,6 +233,11 @@ class PairExtraction:
             record=replace(self.record, task_id=task_id),
         )
 
+    def ungated(self) -> "PairExtraction":
+        """This extraction as the no_reliability ablation keeps it: variant A
+        accepted as it is, with no variant B and no report."""
+        return replace(self, variant_b=None, report=None, record=self.variant_a)
+
     def to_dict(self) -> dict:
         return {
             "prompt": self.prompt.to_dict(),

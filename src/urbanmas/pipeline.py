@@ -5,14 +5,17 @@ extraction with the reliability gate and joint inference; ``no_factors``
 swaps the guided factor sets for the fixed generic placeholders;
 ``no_reliability`` uses single-variant extraction with unconditional
 acceptance; ``single_llm`` bypasses all layers with one direct prompt.
-A job runs in one thread and makes its model calls one at a time; jobs run
-on one bounded pool. The generic sets do not depend on the task, so one
-pool task runs the ``no_factors`` jobs of one location for every task in
-turn, and they share one extraction. A job's transcript is handed to the
-caller as the job ends and then dropped, so a run's memory does not grow
-with its transcripts. Predictions and the similarity log are written in
-deterministic order, so replay runs are byte-identical regardless of
-worker width.
+A job runs in one thread and makes its model calls one at a time. One pool
+task runs a chain of jobs in turn, and a job that succeeded hands its
+extraction on to the next. The generic sets do not depend on the task, so
+the ``no_factors`` jobs of one location form one chain over every task and
+share one extraction. ``no_reliability`` is ``full`` without the gate, so
+it follows the ``full`` job of its location and task and takes that job's
+variant A as its record. Every other job is a chain of one. A job's
+transcript is handed to the caller as the job ends and then dropped, so a
+run's memory does not grow with its transcripts. Predictions and the
+similarity log are written in deterministic order, so replay runs are
+byte-identical regardless of worker width.
 """
 
 from __future__ import annotations
@@ -101,16 +104,21 @@ def predict_location(
 ) -> LocationRun:
     """Run one variant pipeline for one location and task.
 
-    ``pairs`` is a ``no_factors`` extraction of this location settled for
-    another task. The generic sets are the same for every task, so it is
-    relabelled to ``task`` and used in place of a new extraction.
+    ``pairs`` is an extraction of this location made by an earlier job of
+    its chain, used in place of a new one. For ``no_factors`` it was settled
+    for another task; the generic sets are the same for every task, so it is
+    relabelled to ``task``. For ``no_reliability`` it is the ``full``
+    extraction of the same task: each pair keeps its prompt and variant A,
+    accepted as it is, which is what its own extraction would ask and keep.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r} (one of {VARIANTS})")
     rel_cfg = rel_cfg or ReliabilityConfig()
 
-    if pairs is not None and variant != "no_factors":
-        raise ConfigError(f"only no_factors reuses another task's extraction, not {variant!r}")
+    if pairs is not None and variant not in ("no_factors", "no_reliability"):
+        raise ConfigError(
+            f"only no_factors and no_reliability reuse an extraction, not {variant!r}"
+        )
     if variant == "single_llm":
         return LocationRun(prediction=infer_single_llm(task, sample, backend))
 
@@ -119,9 +127,7 @@ def predict_location(
     elif factor_map is None:
         raise ConfigError(f"variant {variant!r} needs a guided factor map for task {task.id!r}")
 
-    if pairs is not None:
-        pairs = {key: pe.for_task(task.id) for key, pe in pairs.items()}
-    else:
+    if pairs is None:
         pairs = extract_reliable(
             sample,
             factor_map,
@@ -129,6 +135,18 @@ def predict_location(
             cfg=rel_cfg,
             reliability_enabled=(variant != "no_reliability"),
         )
+    elif variant == "no_factors":
+        pairs = {key: pe.for_task(task.id) for key, pe in pairs.items()}
+    else:
+        for key, pe in pairs.items():
+            # A record is labelled with the task of the factor set it was extracted for.
+            own = (sample.id, factor_map[key].task_id)
+            if (pe.record.location_id, pe.record.task_id) != own:
+                raise ConfigError(
+                    f"no_reliability reuses only the full extraction of its own location and "
+                    f"task {own}, not of {(pe.record.location_id, pe.record.task_id)}"
+                )
+        pairs = {key: pe.ungated() for key, pe in pairs.items()}
     records = [pe.record for pe in pairs.values()]
     prediction = infer(task, records, backend, variant=variant, threshold=rel_cfg.threshold)
     return LocationRun(prediction=prediction, pairs=pairs)
@@ -151,26 +169,50 @@ class RunOutcome:
         return sum(1 for p in self.predictions if p.clamped)
 
 
+Chain = Sequence[tuple[TaskSpec, str]]
+
+
+def _chains(tasks: Sequence[TaskSpec], variants: Sequence[str]) -> list[Chain]:
+    """One location's pool tasks: chains of (task, variant) jobs, longest first.
+
+    ``no_factors`` is one chain over every task. When both are asked for,
+    ``full`` and then ``no_reliability`` of one task are one chain. Every
+    other job is a chain of one. The chains do not depend on the order of
+    ``variants``; the longest go first so that they do not end the run.
+    """
+    variants = dict.fromkeys(variants)
+    paired = "full" in variants and "no_reliability" in variants
+    chains: list[Chain] = []
+    for variant in variants:
+        if variant == "no_factors":
+            chains.append([(task, variant) for task in tasks])
+        elif paired and variant == "full":
+            chains.extend([(task, "full"), (task, "no_reliability")] for task in tasks)
+        elif not (paired and variant == "no_reliability"):
+            chains.extend([(task, variant)] for task in tasks)
+    return sorted(chains, key=len, reverse=True)
+
+
 def _run_jobs(
     sample: LocationSample,
-    tasks: Sequence[TaskSpec],
-    variant: str,
+    chain: Chain,
     backend: ChatBackend,
     rel_cfg: ReliabilityConfig,
     factor_maps: Mapping[str, FactorMap],
     on_job_end: Callable[[LocationRun], None] | None,
 ) -> list[tuple[PredictionOutput | None, list[str] | str]]:
-    """The jobs of one location and variant, one per task in turn, in one
-    pool thread: for each, (prediction, similarity-log lines), or (None,
-    error text) when the job failed.
+    """The jobs of one chain of one location, in turn, in one pool thread:
+    for each, (prediction, similarity-log lines), or (None, error text) when
+    the job failed.
 
-    A ``no_factors`` job hands its extraction to the later tasks once one
-    has succeeded; a failed one leaves the next task to extract for itself.
-    An error from ``on_job_end`` is not a failed job; it propagates.
+    A job that succeeded hands its extraction to the later jobs of the
+    chain; a failed one hands nothing on, so the next job takes the last
+    extraction handed on, or extracts for itself if there is none. An
+    error from ``on_job_end`` is not a failed job; it propagates.
     """
     results: list[tuple[PredictionOutput | None, list[str] | str]] = []
     shared = None
-    for task in tasks:
+    for task, variant in chain:
         try:
             run = predict_location(
                 sample, task, variant, backend, rel_cfg, factor_maps.get(task.id), shared
@@ -178,11 +220,11 @@ def _run_jobs(
         except Exception as exc:
             results.append((None, str(exc)))
             continue
-        if variant == "no_factors":
-            shared = run.pairs
+        shared = run.pairs
         if on_job_end is not None:
             on_job_end(run)
         results.append((run.prediction, run.similarity_lines()))
+        del run  # only the pairs outlive the job
     return results
 
 
@@ -198,14 +240,15 @@ def run_predictions(
 ) -> RunOutcome:
     """Run every (location, task, variant) job on a pool of 4 x ``workers`` threads.
 
-    One pool task runs one job, except for ``no_factors``: one pool task
-    runs every task of one location in turn and extracts once for all of
-    them (see :func:`_run_jobs`). ``factor_maps`` maps task id to its guided
-    factor map and is required for the guided variants. Per-job failures are
-    collected (and counted), not propagated; failed jobs are excluded from
-    the predictions. ``on_job_end`` is called with each successful job's
-    transcript in that job's thread, before the transcript is dropped. If
-    it raises, jobs not yet started are cancelled and the error propagates.
+    One pool task runs one chain of jobs of one location in turn (see
+    :func:`_chains`): ``no_factors`` extracts once for all tasks, and
+    ``no_reliability`` takes the extraction of the ``full`` job before it.
+    ``factor_maps`` maps task id to its guided factor map and is required
+    for the guided variants. Per-job failures are collected (and counted),
+    not propagated; failed jobs are excluded from the predictions.
+    ``on_job_end`` is called with each successful job's transcript in that
+    job's thread, before the transcript is dropped. If it raises, jobs not
+    yet started are cancelled and the error propagates.
     """
     rel_cfg = rel_cfg or ReliabilityConfig()
     factor_maps = factor_maps or {}
@@ -217,25 +260,18 @@ def run_predictions(
                     f"variant {variant!r} needs guided factor maps for tasks {missing}"
                 )
 
-    groups = [
-        (sample, chain, variant)
-        for variant in variants
-        for chain in ([tasks] if variant == "no_factors" else [[task] for task in tasks])
-        for sample in samples
-    ]
+    groups = [(sample, chain) for chain in _chains(tasks, variants) for sample in samples]
     outcome = RunOutcome()
     done: dict[tuple[str, str, str], tuple[PredictionOutput, list[str]]] = {}
     # A job makes one call at a time, so at most 4 x workers calls are in flight.
     with ThreadPoolExecutor(max_workers=len(PAIRS) * max(1, workers)) as pool:
         futures = [
-            pool.submit(
-                _run_jobs, sample, chain, variant, backend, rel_cfg, factor_maps, on_job_end
-            )
-            for sample, chain, variant in groups
+            pool.submit(_run_jobs, sample, chain, backend, rel_cfg, factor_maps, on_job_end)
+            for sample, chain in groups
         ]
         try:
-            for (sample, chain, variant), future in zip(groups, futures):
-                for task, (prediction, detail) in zip(chain, future.result()):
+            for (sample, chain), future in zip(groups, futures):
+                for (task, variant), (prediction, detail) in zip(chain, future.result()):
                     key = (sample.id, task.id, variant)
                     if prediction is not None:
                         done[key] = (prediction, detail)

@@ -334,6 +334,21 @@ class TestCriterion8AblationAccounting:
         assert backend.count == 4 * 2 + repairs + len(tasks)
         _pass(8, "no_factors over 3 tasks of one location: 4*2+repairs+3 calls")
 
+    def test_no_reliability_reuses_the_full_extraction(self, sample, task):
+        factor_map = {(d, r): make_factor_set(dimension=d, level=r) for d, r in PAIRS}
+        backend = CountingBackend(self._scripted(1))
+        runs = []
+        outcome = run_predictions(
+            [sample], [task], ["full", "no_reliability"], backend,
+            factor_maps={task.id: factor_map}, on_job_end=runs.append,
+        )
+        assert not outcome.failures
+        assert [run.prediction.variant for run in runs] == ["full", "no_reliability"]
+        repairs = sum(pe.refine_calls for pe in runs[0].pairs.values())
+        assert repairs == 4
+        assert backend.count == 4 * 2 + repairs + 1 + 1
+        _pass(8, "full + no_reliability of one location and task: 4*2+repairs+1+1 calls")
+
 
 class TestCriterion9ReportFormatting:
     def test_ablation_percentage_convention(self):

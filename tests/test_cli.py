@@ -279,6 +279,18 @@ class TestIngestCommand:
         assert run_cli(*args) == 0
         assert "(100%)" in capsys.readouterr().out
 
+    def test_samples_with_full_context_need_no_lookup(self, workspace, capsys):
+        code = run_cli(
+            "ingest", "--offline",
+            "--dataset", str(workspace / "samples.jsonl"),
+            "--cache-dir", str(workspace / "empty_cache"),
+            "--out", str(workspace / "out"),
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "cache hits: no lookups needed" in out
+        assert "(0%)" not in out
+
     def test_truncated_geo_cache_entry_degrades_to_a_warning(self, workspace, capsys, caplog):
         pois = workspace / "geocache" / "pois_35.65860_139.74540.json"
         pois.write_bytes(pois.read_bytes()[:40])
@@ -676,6 +688,58 @@ class TestMultiTaskFlow:
         )
         assert twice == once
         assert backends[1].call_count == backends[0].call_count
+
+
+class TestNoReliabilityFollowsFull:
+    """``no_reliability`` takes its extraction from the ``full`` job of its
+    location and task, and writes what it writes when it extracts itself."""
+
+    TASKS = "running_amount,boringness"
+
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    def test_a_two_variant_run_writes_what_two_one_variant_runs_write(
+        self, workspace, workers, monkeypatch
+    ):
+        assert run_cli(
+            "factors", "--backend", "mock", "--factor-dir", str(workspace / "factors"),
+            "--out", str(workspace / "out_factors"), "--tasks", self.TASKS,
+        ) == 0
+        backends = []
+
+        def counted(cfg):
+            backends.append(MockBackend())
+            return backends[-1]
+
+        monkeypatch.setattr(urbanmas.cli, "make_backend", counted)
+
+        def predict(out: str, *variants: str) -> tuple[dict, int]:
+            assert run_cli(
+                "predict", "--backend", "mock",
+                "--dataset", str(workspace / "samples.jsonl"),
+                "--factor-dir", str(workspace / "factors"),
+                "--out", str(workspace / out), "--tasks", self.TASKS, "--workers", workers,
+                *itertools.chain.from_iterable(("--variant", v) for v in variants),
+            ) == 0
+            tree = _tree_bytes(workspace / out)
+            tree.pop("manifest.json")
+            return tree, backends[-1].call_count
+
+        together, calls = predict("out_both", "full", "no_reliability")
+        assert predict("out_reversed", "no_reliability", "full") == (together, calls)
+        full, full_calls = predict("out_full", "full")
+        alone, alone_calls = predict("out_no_reliability", "no_reliability")
+        # One four-call extraction saved per (location, task): 3 locations x 2 tasks.
+        assert calls == full_calls + alone_calls - 4 * 3 * 2
+
+        def job(line: bytes) -> tuple:
+            doc = json.loads(line)
+            return doc["location_id"], doc["task_id"], doc["variant"]
+
+        for name in ("predictions.jsonl", "similarity_reports.jsonl"):
+            lines = [line for tree in (full, alone) for line in tree.pop(name).splitlines(True)]
+            assert together.pop(name) == b"".join(sorted(lines, key=job)), name
+        assert len(together) == 2 * 2 * 3
+        assert together == {**full, **alone}
 
 
 class TestLiveMode:

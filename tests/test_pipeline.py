@@ -69,6 +69,35 @@ class TestPredictLocation:
         with pytest.raises(ConfigError, match="only no_factors"):
             predict_location(sample, task, "full", MockBackend(), factor_map=factor_map, pairs=pairs)
 
+    def test_single_llm_reuses_no_extraction(self, sample, task, factor_map):
+        pairs = predict_location(sample, task, "full", MockBackend(), factor_map=factor_map).pairs
+        with pytest.raises(ConfigError, match="only no_factors and no_reliability"):
+            predict_location(sample, task, "single_llm", MockBackend(), pairs=pairs)
+
+    def test_no_reliability_takes_variant_a_of_the_full_extraction(
+        self, sample, task, factor_map
+    ):
+        full = predict_location(sample, task, "full", MockBackend(), factor_map=factor_map)
+        backend = MockBackend()
+        reused = predict_location(
+            sample, task, "no_reliability", backend, factor_map=factor_map, pairs=full.pairs
+        )
+        assert backend.call_count == 1  # the inference only
+        own = predict_location(sample, task, "no_reliability", MockBackend(), factor_map=factor_map)
+        assert reused.audit_doc() == own.audit_doc()
+        assert reused.similarity_lines() == own.similarity_lines() == []
+
+    def test_no_reliability_refuses_another_tasks_extraction(self, sample, task, factor_map):
+        other = builtin_task("liveliness")
+        other_map = {(d, r): make_factor_set(other.id, d, r) for d, r in PAIRS}
+        pairs = predict_location(sample, other, "full", MockBackend(), factor_map=other_map).pairs
+        backend = MockBackend()
+        with pytest.raises(ConfigError, match="liveliness"):
+            predict_location(
+                sample, task, "no_reliability", backend, factor_map=factor_map, pairs=pairs
+            )
+        assert backend.call_count == 0
+
 
 class TestRunPredictions:
     def test_outputs_are_sorted_and_complete(self, dataset, task, factor_map):
@@ -118,6 +147,38 @@ class TestRunPredictions:
             p for p in clean.predictions
             if (p.location_id, p.task_id) != ("seattle_pike", "running_amount")
         ]
+
+    def test_a_failed_full_job_leaves_no_reliability_to_extract(self, dataset, task, factor_map):
+        def audit_docs(backend):
+            docs = {}
+
+            def keep(run):
+                docs[run.prediction.location_id, run.prediction.variant] = run.audit_doc()
+
+            outcome = run_predictions(
+                dataset, [task], ["full", "no_reliability"], backend,
+                factor_maps={task.id: factor_map}, on_job_end=keep,
+            )
+            return outcome, docs
+
+        backend = MockBackend()
+        # Variant B of Seattle's extraction is unusable, re-ask included.
+        backend.add_rule(
+            lambda r: r.variant_seed == 1 and "Seattle" in r.user_prompt
+            and "exactly these keys" in r.user_prompt,
+            "never json",
+        )
+        outcome, docs = audit_docs(backend)
+        clean, clean_docs = audit_docs(MockBackend())
+        assert [(f["location_id"], f["variant"]) for f in outcome.failures] == [
+            ("seattle_pike", "full")
+        ]
+        assert "unusable after re-ask" in outcome.failures[0]["error"]
+        assert outcome.predictions == [
+            p for p in clean.predictions if (p.location_id, p.variant) != ("seattle_pike", "full")
+        ]
+        del clean_docs[("seattle_pike", "full")]
+        assert docs == clean_docs
 
     def test_failures_are_collected_not_raised(self, dataset, task):
         backend = MockBackend()
