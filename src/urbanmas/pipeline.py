@@ -11,7 +11,8 @@ extraction on to the next. The generic sets do not depend on the task, so
 the ``no_factors`` jobs of one location form one chain over every task and
 share one extraction. ``no_reliability`` is ``full`` without the gate, so
 it follows the ``full`` job of its location and task and takes that job's
-variant A as its record. Every other job is a chain of one. A job's
+variant A as its record, and that job's prediction when the inference prompt
+it would send is the same. Every other job is a chain of one. A job's
 transcript is handed to the caller as the job ends and then dropped, so a
 run's memory does not grow with its transcripts. Predictions and the
 similarity log are written in deterministic order, so replay runs are
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -41,7 +42,7 @@ from .domain import (
 from .errors import ConfigError
 from .extraction import PairExtraction, extract_reliable
 from .guidance import FactorMap, generic_factor_map
-from .inference import infer, infer_single_llm
+from .inference import build_inference_prompt, infer, infer_single_llm
 from .reliability import ReliabilityConfig
 
 logger = logging.getLogger(__name__)
@@ -101,6 +102,7 @@ def predict_location(
     rel_cfg: ReliabilityConfig | None = None,
     factor_map: FactorMap | None = None,
     pairs: Mapping[tuple[Dimension, Level], PairExtraction] | None = None,
+    prediction: PredictionOutput | None = None,
 ) -> LocationRun:
     """Run one variant pipeline for one location and task.
 
@@ -110,6 +112,13 @@ def predict_location(
     relabelled to ``task``. For ``no_reliability`` it is the ``full``
     extraction of the same task: each pair keeps its prompt and variant A,
     accepted as it is, which is what its own extraction would ask and keep.
+
+    ``prediction`` is what the job that made ``pairs`` inferred from them.
+    ``no_reliability`` takes it, relabelled, in place of its own inference
+    when the inference prompt it would send is the one that job sent, as
+    when the gate kept every variant-A text and marked no field
+    low-confidence; under the identity rule the answer would be the same.
+    Other variants ignore it.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r} (one of {VARIANTS})")
@@ -146,10 +155,23 @@ def predict_location(
                     f"no_reliability reuses only the full extraction of its own location and "
                     f"task {own}, not of {(pe.record.location_id, pe.record.task_id)}"
                 )
-        pairs = {key: pe.ungated() for key, pe in pairs.items()}
+        ungated = {key: pe.ungated() for key, pe in pairs.items()}
+        if prediction is not None and _inference_prompt(task, ungated, rel_cfg) == (
+            _inference_prompt(task, pairs, rel_cfg)
+        ):
+            return LocationRun(prediction=replace(prediction, variant=variant), pairs=ungated)
+        pairs = ungated
     records = [pe.record for pe in pairs.values()]
     prediction = infer(task, records, backend, variant=variant, threshold=rel_cfg.threshold)
     return LocationRun(prediction=prediction, pairs=pairs)
+
+
+def _inference_prompt(
+    task: TaskSpec,
+    pairs: Mapping[tuple[Dimension, Level], PairExtraction],
+    rel_cfg: ReliabilityConfig,
+) -> str:
+    return build_inference_prompt(task, [pe.record for pe in pairs.values()], rel_cfg.threshold)
 
 
 @dataclass
@@ -205,26 +227,28 @@ def _run_jobs(
     for each, (prediction, similarity-log lines), or (None, error text) when
     the job failed.
 
-    A job that succeeded hands its extraction to the later jobs of the
-    chain; a failed one hands nothing on, so the next job takes the last
-    extraction handed on, or extracts for itself if there is none. An
-    error from ``on_job_end`` is not a failed job; it propagates.
+    A job that succeeded hands its extraction and its prediction to the
+    later jobs of the chain (see :func:`predict_location`); a failed one
+    hands nothing on, so the next job takes the last extraction handed on,
+    or extracts and infers for itself if there is none. An error from
+    ``on_job_end`` is not a failed job; it propagates.
     """
     results: list[tuple[PredictionOutput | None, list[str] | str]] = []
-    shared = None
+    pairs = prediction = None
     for task, variant in chain:
         try:
             run = predict_location(
-                sample, task, variant, backend, rel_cfg, factor_maps.get(task.id), shared
+                sample, task, variant, backend, rel_cfg, factor_maps.get(task.id),
+                pairs, prediction,
             )
         except Exception as exc:
             results.append((None, str(exc)))
             continue
-        shared = run.pairs
+        pairs, prediction = run.pairs, run.prediction
         if on_job_end is not None:
             on_job_end(run)
         results.append((run.prediction, run.similarity_lines()))
-        del run  # only the pairs outlive the job
+        del run  # only the pairs and the prediction outlive the job
     return results
 
 

@@ -4,8 +4,10 @@ Two independently generated extraction variants are compared field by field.
 Texts are normalized (lowercased, punctuation stripped, whitespace collapsed)
 and scored with a weighted blend of token-set Jaccard overlap (weight 0.4)
 and gestalt sequence matching (weight 0.6). Fields scoring below the 0.72
-stability threshold are regenerated one at a time; everything at or above
-the gate is byte-preserved from variant A.
+stability threshold are regenerated one at a time, for at most
+``max_repair_rounds`` refiner calls each, and a field whose refiner answers
+with the value it was shown as competing is asked no more; everything at or
+above the gate is byte-preserved from variant A.
 
 Normalization removes exactly: every character whose Unicode general
 category starts with ``P`` (all punctuation categories), plus the symbols
@@ -192,9 +194,13 @@ def reconcile(
     Each field that ``report`` flags as conflicting is regenerated through
     ``refine_fn(field_name, value_a, value_b)`` and re-scored against
     variant A's value, up to ``cfg.max_repair_rounds`` times; later rounds
-    pass the previous refinement as the competing value. Fields that never
-    reach the threshold keep their last refined text and the record settles
-    as ``low_confidence``; with no conflicting fields it settles as
+    pass the previous refinement as the competing value. A refinement equal
+    to the competing value ends the field's loop: the next round would ask
+    the same again, so the field keeps that text and the score already held
+    for it (the report's in round one) and stays unresolved. A field's
+    ``repair_rounds`` counts the refiner calls made for it. Fields that
+    never reach the threshold keep their last refined text and the record
+    settles as ``low_confidence``; with no conflicting fields it settles as
     ``stable``. Non-conflicting fields are byte-preserved from variant A.
     """
     cfg = cfg or ReliabilityConfig()
@@ -221,6 +227,10 @@ def reconcile(
                 refined = refine_fn(name, value.text, competing)
             except Exception as exc:
                 raise RefinerError(f"refiner failed for field {name!r}: {exc}") from exc
+            if refined == competing:
+                # The next round would send this round's request again, and
+                # ``score`` already holds this text's score.
+                break
             score = soft_sim(refined, value.text, cfg)
             if score >= cfg.threshold:
                 resolved = True

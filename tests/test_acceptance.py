@@ -278,12 +278,14 @@ class CountingBackend(ChatBackend):
 
 
 class TestCriterion8AblationAccounting:
-    def _scripted(self, conflicts: int) -> MockBackend:
+    CONFLICTING = "entirely unrelated fenced industrial storage text"
+
+    def _scripted(self, conflicts: int, refine_text: str | None = None) -> MockBackend:
         base = {name: f"moderate {name} observed around this location" for name in FACTOR_NAMES}
         values_b = dict(base)
         for name in FACTOR_NAMES[:conflicts]:
-            values_b[name] = "entirely unrelated fenced industrial storage text"
-        return scripted_extraction_backend({0: base, 1: values_b})
+            values_b[name] = self.CONFLICTING
+        return scripted_extraction_backend({0: base, 1: values_b}, refine_text)
 
     def test_call_counts_match_closed_forms(self, sample, task, tmp_path):
         factor_map = {(d, r): make_factor_set(dimension=d, level=r) for d, r in PAIRS}
@@ -346,8 +348,26 @@ class TestCriterion8AblationAccounting:
         assert [run.prediction.variant for run in runs] == ["full", "no_reliability"]
         repairs = sum(pe.refine_calls for pe in runs[0].pairs.values())
         assert repairs == 4
-        assert backend.count == 4 * 2 + repairs + 1 + 1
-        _pass(8, "full + no_reliability of one location and task: 4*2+repairs+1+1 calls")
+        # The refiner echoes value A, so both jobs send the same inference prompt.
+        assert backend.count == 4 * 2 + repairs + 1
+        _pass(8, "full + no_reliability of one location and task: 4*2+repairs+1 calls")
+
+    def test_no_reliability_infers_itself_after_a_stubborn_refiner(self, sample, task):
+        factor_map = {(d, r): make_factor_set(dimension=d, level=r) for d, r in PAIRS}
+        # The refiner sides with value B: each pair asks once and stays low-confidence.
+        backend = CountingBackend(self._scripted(1, refine_text=self.CONFLICTING))
+        runs = []
+        outcome = run_predictions(
+            [sample], [task], ["full", "no_reliability"], backend,
+            factor_maps={task.id: factor_map}, on_job_end=runs.append,
+        )
+        assert not outcome.failures
+        assert [run.prediction.variant for run in runs] == ["full", "no_reliability"]
+        assert {pe.record.status for pe in runs[0].pairs.values()} == {"low_confidence"}
+        repairs = sum(pe.refine_calls for pe in runs[0].pairs.values())
+        assert repairs == 4
+        assert backend.count == (4 * 2 + repairs + 1) + 1
+        _pass(8, "stubborn refiner: full=4*2+repairs+1 with repairs=4, no_reliability=+1")
 
 
 class TestCriterion9ReportFormatting:

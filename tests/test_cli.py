@@ -692,7 +692,8 @@ class TestMultiTaskFlow:
 
 class TestNoReliabilityFollowsFull:
     """``no_reliability`` takes its extraction from the ``full`` job of its
-    location and task, and writes what it writes when it extracts itself."""
+    location and task, and its prediction when its inference prompt is the
+    same, and writes what it writes when it extracts and infers itself."""
 
     TASKS = "running_amount,boringness"
 
@@ -728,8 +729,9 @@ class TestNoReliabilityFollowsFull:
         assert predict("out_reversed", "no_reliability", "full") == (together, calls)
         full, full_calls = predict("out_full", "full")
         alone, alone_calls = predict("out_no_reliability", "no_reliability")
-        # One four-call extraction saved per (location, task): 3 locations x 2 tasks.
-        assert calls == full_calls + alone_calls - 4 * 3 * 2
+        # One four-call extraction and one inference saved per (location, task),
+        # 3 locations x 2 tasks: the mock refiner echoes value A, so the prompts match.
+        assert calls == full_calls + alone_calls - (4 + 1) * 3 * 2
 
         def job(line: bytes) -> tuple:
             doc = json.loads(line)

@@ -21,7 +21,7 @@ from urbanmas.pipeline import (
     write_similarity_log,
 )
 
-from conftest import make_factor_set
+from conftest import FACTOR_NAMES, make_factor_set
 
 
 @pytest.fixture
@@ -179,6 +179,50 @@ class TestRunPredictions:
         ]
         del clean_docs[("seattle_pike", "full")]
         assert docs == clean_docs
+
+    @pytest.mark.parametrize(
+        "refine_text, status, inferences",
+        [
+            (None, "refined", 1),  # echoes value A: the same inference prompt
+            ("entirely unrelated fenced industrial storage text", "low_confidence", 2),
+            (f"moderate {FACTOR_NAMES[0]} observed around this location today", "refined", 2),
+        ],
+    )
+    def test_no_reliability_infers_itself_when_its_prompt_differs(
+        self, sample, task, factor_map, refine_text, status, inferences
+    ):
+        base = {name: f"moderate {name} observed around this location" for name in FACTOR_NAMES}
+        conflicting = {**base, FACTOR_NAMES[0]: "entirely unrelated fenced industrial storage text"}
+        prompts = []
+
+        def backend():
+            """Variant B conflicts on one field of the social street-level pair only."""
+            mock = MockBackend()
+            mock.add_rule(lambda r: prompts.append(r.user_prompt), "")  # records, never matches
+            if refine_text is not None:
+                mock.add_rule(lambda r: "Value B:" in r.user_prompt, refine_text)
+            mock.add_rule(
+                lambda r: r.variant_seed == 1 and "social dimension at the street" in r.system_prompt
+                and "exactly these keys" in r.user_prompt,
+                json.dumps(conflicting),
+            )
+            mock.add_rule(lambda r: "exactly these keys" in r.user_prompt, json.dumps(base))
+            return mock
+
+        runs = []
+        both = run_predictions(
+            [sample], [task], ["full", "no_reliability"], backend(),
+            factor_maps={task.id: factor_map}, on_job_end=runs.append,
+        )
+        statuses = sorted(pe.record.status for pe in runs[0].pairs.values())
+        assert statuses == sorted([status, "stable", "stable", "stable"])
+        assert sum("Structured urban information" in p for p in prompts) == inferences
+        alone = run_predictions(
+            [sample], [task], ["no_reliability"], backend(), factor_maps={task.id: factor_map}
+        )
+        full, no_reliability = both.predictions
+        assert [no_reliability] == alone.predictions
+        assert (full.value == no_reliability.value) == (inferences == 1)
 
     def test_failures_are_collected_not_raised(self, dataset, task):
         backend = MockBackend()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from urbanmas import reliability
 from urbanmas.errors import FieldKeyMismatchError, RefinerError
 from urbanmas.reliability import (
     ReliabilityConfig,
@@ -321,6 +322,50 @@ class TestReconcile:
         assert seen[0] == var_b.fields[target].text
         assert seen[1] == "first attempt still unrelated text entirely"
         assert record.fields[target].repair_rounds == 2
+
+    def test_refiner_siding_with_the_competing_value_is_asked_once(self, monkeypatch):
+        target = FACTOR_NAMES[2]
+        var_a, var_b = _variant_pair(corrupt=(target,))
+        report = evaluate(var_a, var_b)
+        calls = []
+        scored = []
+
+        def counted_soft_sim(*args, **kwargs):
+            scored.append(args)
+            return soft_sim(*args, **kwargs)
+
+        def side_with_b(name, value_a, value_b):
+            calls.append((name, value_a, value_b))
+            return value_b
+
+        monkeypatch.setattr(reliability, "soft_sim", counted_soft_sim)
+        record = reconcile(var_a, var_b, report, side_with_b)
+        assert calls == [(target, var_a.fields[target].text, var_b.fields[target].text)]
+        assert scored == []
+        assert record.status == "low_confidence"
+        field = record.fields[target]
+        assert field.repair_rounds == 1
+        assert field.text == var_b.fields[target].text
+        assert field.similarity == report.per_field[target]
+
+    def test_a_repeated_refinement_ends_the_repair_loop(self):
+        target = FACTOR_NAMES[4]
+        var_a, var_b = _variant_pair(corrupt=(target,))
+        report = evaluate(var_a, var_b)
+        cfg = ReliabilityConfig(max_repair_rounds=3)
+        seen = []
+
+        def stubborn(name, value_a, value_b):
+            seen.append(value_b)
+            return "X"
+
+        record = reconcile(var_a, var_b, report, stubborn, cfg)
+        assert seen == [var_b.fields[target].text, "X"]
+        field = record.fields[target]
+        assert field.repair_rounds == 2
+        assert field.text == "X"
+        assert field.similarity == soft_sim("X", var_a.fields[target].text)
+        assert record.status == "low_confidence"
 
     def test_refiner_failure_is_labeled_with_field(self):
         target = FACTOR_NAMES[5]
