@@ -7,12 +7,15 @@ with a responder that understands the pipeline's prompt shapes, which makes
 whole runs executable offline with no fixtures. :class:`CassetteBackend` is
 the one request-identity store: it asks its inner backend once per missing
 fingerprint. Replay gives it only a cassette (line-delimited JSON, one
-``fingerprint -> response`` pair per line), record a cassette and an inner
-backend, and live an inner backend and no file, so a live run pays once for
-each distinct request. A recording is replayed exactly, writes each
-fingerprint once, resumes where an earlier one stopped, and is rewritten in
-fingerprint order when it closes. Replay from a cassette is the only
-sanctioned path for CI.
+``{"fingerprint": ..., "response": {"text": ...}}`` per line), record a
+cassette and an inner backend, and live an inner backend and no file, so a
+live run pays once for each distinct request. A response is its text and
+nothing else, so a recording depends only on its requests and their
+answers: it is replayed exactly, writes each fingerprint once, resumes
+where an earlier one stopped, and is rewritten in fingerprint order when it
+closes. Keys other than ``text`` in a response, which older recordings
+carry, are ignored on load. Replay from a cassette is the only sanctioned
+path for CI.
 
 Environment for the live backend: ``URBANMAS_API_KEY``, ``URBANMAS_API_BASE``
 (OpenAI-compatible chat-completions endpoint) and ``URBANMAS_MODEL``.
@@ -34,7 +37,7 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from . import domain
-from .domain import http_request, write_text_atomic
+from .domain import http_request, load_json, write_text_atomic
 from .errors import (
     AuthenticationError,
     CassetteFormatError,
@@ -80,12 +83,6 @@ class ChatResponse:
     """Raw model output; validation belongs to callers."""
 
     text: str
-    latency_ms: float = 0.0
-    backend_id: str = ""
-
-    def __post_init__(self) -> None:
-        if self.latency_ms < 0:
-            raise ValueError("latency_ms must be nonnegative")
 
 
 def fingerprint(req: ChatRequest) -> str:
@@ -106,8 +103,6 @@ def fingerprint(req: ChatRequest) -> str:
 
 class ChatBackend:
     """Interface all backends implement."""
-
-    backend_id = "base"
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         raise NotImplementedError
@@ -258,8 +253,6 @@ class MockBackend(ChatBackend):
     so outputs are independent of call order and concurrency schedule.
     """
 
-    backend_id = "mock"
-
     def __init__(self):
         self._rules: list[Rule] = []
         self._lock = threading.Lock()
@@ -279,8 +272,8 @@ class MockBackend(ChatBackend):
             self.call_count += 1
         for predicate, responder in self._rules:
             if predicate(req):
-                return ChatResponse(text=responder(req), latency_ms=0.0, backend_id=self.backend_id)
-        return ChatResponse(text=deterministic_responder(req), latency_ms=0.0, backend_id=self.backend_id)
+                return ChatResponse(responder(req))
+        return ChatResponse(deterministic_responder(req))
 
 
 # --------------------------------------------------------------------------
@@ -303,16 +296,12 @@ class CassetteBackend(ChatBackend):
     def __init__(self, path: str | Path | None, inner: ChatBackend | None = None):
         self.path = None if path is None else Path(path)
         self._inner = inner
-        self.backend_id = "replay" if inner is None else "record"
         # Set when the cassette does not end in a whole line: (cut to, first append's prefix).
         self._mend: tuple[int, str] | None = None
         self._entries = self._load()
         self._in_flight: dict[str, Future] = {}
         self._lock = threading.Lock()
         self._appended = False
-
-    def _served(self, text: str, latency_ms: float) -> ChatResponse:
-        return ChatResponse(text=text, latency_ms=latency_ms, backend_id=self.backend_id)
 
     def _load(self) -> dict[str, ChatResponse]:
         entries: dict[str, ChatResponse] = {}
@@ -325,10 +314,10 @@ class CassetteBackend(ChatBackend):
                 if not raw.strip():
                     continue
                 try:
-                    data = json.loads(raw.decode("utf-8"))
-                    fp = data["fingerprint"]
-                    resp = data["response"]
-                    served = self._served(resp["text"], float(resp.get("latency_ms", 0.0)))
+                    data = load_json(raw.decode("utf-8"))
+                    fp, text = data["fingerprint"], data["response"]["text"]
+                    if not isinstance(fp, str) or not isinstance(text, str):
+                        raise TypeError("fingerprint and text must be strings")
                 except (ValueError, KeyError, TypeError, AttributeError) as exc:
                     if raw.endswith(b"\n"):
                         raise CassetteFormatError(
@@ -339,7 +328,7 @@ class CassetteBackend(ChatBackend):
                     continue
                 if fp in entries:
                     logger.warning("duplicate cassette fingerprint %s; last write wins", fp)
-                entries[fp] = served
+                entries[fp] = ChatResponse(text)
                 if not raw.endswith(b"\n"):
                     self._mend = (end, "\n")
         return entries
@@ -364,17 +353,8 @@ class CassetteBackend(ChatBackend):
             return pending.result()
         try:
             resp = self._inner.complete(req)
-            served = self._served(resp.text, resp.latency_ms)
             line = json.dumps(
-                {
-                    "fingerprint": fp,
-                    "response": {
-                        "text": resp.text,
-                        "latency_ms": resp.latency_ms,
-                        "backend_id": resp.backend_id,
-                    },
-                },
-                ensure_ascii=False,
+                {"fingerprint": fp, "response": {"text": resp.text}}, ensure_ascii=False
             )
             with self._lock:
                 if self.path is not None:
@@ -386,15 +366,15 @@ class CassetteBackend(ChatBackend):
                     with open(self.path, "a", encoding="utf-8") as fh:
                         fh.write(line + "\n")
                     self._appended = True
-                self._entries[fp] = served
+                self._entries[fp] = resp
                 del self._in_flight[fp]
         except BaseException as exc:
             with self._lock:
                 self._in_flight.pop(fp, None)
             pending.set_exception(exc)
             raise
-        pending.set_result(served)
-        return served
+        pending.set_result(resp)
+        return resp
 
     def close(self) -> None:
         """Rewrite a cassette this run appended to: one line per fingerprint,
@@ -404,7 +384,7 @@ class CassetteBackend(ChatBackend):
             if not self._appended:
                 return
             with open(self.path, encoding="utf-8", newline="") as fh:
-                lines = {json.loads(line)["fingerprint"]: line for line in fh if line.strip()}
+                lines = {load_json(line)["fingerprint"]: line for line in fh if line.strip()}
             write_text_atomic(self.path, [lines[fp] for fp in sorted(lines)])
             self._appended = False
 
@@ -504,8 +484,6 @@ class LiveBackend(ChatBackend):
     threads bound how many requests are in flight.
     """
 
-    backend_id = "live"
-
     def __init__(
         self,
         config: LiveConfig,
@@ -557,26 +535,20 @@ class LiveBackend(ChatBackend):
                 logger.warning("attempt %d/%d failed: %s", attempt - 1, DEFAULT_MAX_ATTEMPTS, last_error)
                 self._sleep(DEFAULT_BACKOFF_BASE_S * (2 ** (attempt - 2)))
             self._limiter.acquire()
-            started = time.monotonic()
             try:
                 status, body = self._transport(url, headers, payload)
             except Exception as exc:
                 last_error = f"transport error: {exc}"
                 continue
-            elapsed_ms = (time.monotonic() - started) * 1000.0
             if status in (401, 403):
                 raise AuthenticationError(f"endpoint rejected credentials (HTTP {status})")
             if status == 200:
                 try:
-                    text = json.loads(body)["choices"][0]["message"]["content"]
+                    text = load_json(body)["choices"][0]["message"]["content"]
                 except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
                     last_error = f"malformed completion body: {exc}"
                     continue
-                return ChatResponse(
-                    text=text if isinstance(text, str) else json.dumps(text),
-                    latency_ms=elapsed_ms,
-                    backend_id=self.backend_id,
-                )
+                return ChatResponse(text if isinstance(text, str) else json.dumps(text))
             last_error = f"HTTP {status}: {body[:200]}"
             if status not in (408, 409, 429) and status < 500:
                 break

@@ -31,6 +31,7 @@ from .domain import (
     PAIRS,
     TaskSpec,
     builtin_task,
+    load_json,
     load_samples,
     save_samples,
     write_text_atomic,
@@ -140,7 +141,7 @@ def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
     data: dict = {}
     if path:
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = load_json(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):

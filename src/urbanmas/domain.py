@@ -217,7 +217,7 @@ def load_samples(path: str | Path) -> list[LocationSample]:
             if not line:
                 continue
             try:
-                samples.append(LocationSample.from_dict(json.loads(line)))
+                samples.append(LocationSample.from_dict(load_json(line)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad sample record: {exc}") from exc
     return samples
@@ -251,6 +251,16 @@ def write_text_atomic(path: Path, chunks: Iterable[str]) -> None:
 
 def write_json_atomic(path: Path, doc: object) -> None:
     write_text_atomic(path, [json.dumps(doc, ensure_ascii=False, indent=1)])
+
+
+def load_json(text: str) -> object:
+    """``json.loads`` that also raises :class:`json.JSONDecodeError` for a
+    document nested past the recursion limit, so every caller's handler for
+    undecodable text covers it too."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
 
 
 def http_request(

@@ -18,7 +18,6 @@ changes take effect on a warm cache.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import threading
@@ -28,7 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .domain import LocationSample, PoiEntry, http_request, write_json_atomic
+from .domain import LocationSample, PoiEntry, http_request, load_json, write_json_atomic
 from .errors import EnrichmentError, OfflineMissError, UpstreamUnavailableError
 
 logger = logging.getLogger(__name__)
@@ -126,7 +125,7 @@ class GeoClient:
         value = None
         if path.exists():
             try:
-                value = json.loads(path.read_text(encoding="utf-8"))[key]
+                value = load_json(path.read_text(encoding="utf-8"))[key]
             except (ValueError, KeyError, TypeError):
                 pass
             if not valid(value):
@@ -164,7 +163,7 @@ class GeoClient:
             raise UpstreamUnavailableError(f"{url}: HTTP {status}")
         key, valid = _CACHE_SHAPES[kind]
         try:
-            doc = json.loads(body)
+            doc = load_json(body)
             if not isinstance(doc, dict):
                 raise TypeError(f"not a JSON object: {doc!r:.40}")
             value = parse(doc)

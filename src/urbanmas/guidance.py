@@ -32,6 +32,7 @@ from .domain import (
     PAIRS,
     PredictiveFactor,
     TaskSpec,
+    load_json,
     pair_label,
     validate_factor_set,
     write_json_atomic,
@@ -293,7 +294,7 @@ def load_factor_cache(path: str | Path, task: TaskSpec) -> FactorMap:
     """
     redo = f"delete it and run `urbanmas factors --tasks {task.id}` again"
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = load_json(Path(path).read_text(encoding="utf-8"))
         cached_task = doc["task"]
         cached_prompts = doc.get("prompt_sha256")
         pairs = [

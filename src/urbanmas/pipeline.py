@@ -36,6 +36,7 @@ from .domain import (
     PAIRS,
     PredictionOutput,
     TaskSpec,
+    load_json,
     pair_label,
     write_text_atomic,
 )
@@ -341,7 +342,7 @@ def load_predictions(path: str | Path) -> list[PredictionOutput]:
             if not line:
                 continue
             try:
-                predictions.append(PredictionOutput.from_dict(json.loads(line)))
+                predictions.append(PredictionOutput.from_dict(load_json(line)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad prediction record: {exc}") from exc
     return predictions

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import re
 
-_OBJECT_RE = re.compile(r"\{.*\}", re.DOTALL)
+from .domain import load_json
 
 
 def extract_json_object(text: str) -> dict:
@@ -19,13 +19,14 @@ def extract_json_object(text: str) -> dict:
     if candidate.startswith("```"):
         candidate = re.sub(r"^```[a-zA-Z]*\s*|\s*```$", "", candidate).strip()
     try:
-        parsed = json.loads(candidate)
+        parsed = load_json(candidate)
     except json.JSONDecodeError:
-        match = _OBJECT_RE.search(text)
-        if not match:
+        # From the first "{" to the last "}", when that "}" comes after it.
+        start, end = text.find("{"), text.rfind("}")
+        if not 0 <= start < end:
             raise ValueError("no JSON object found in response") from None
         try:
-            parsed = json.loads(match.group(0))
+            parsed = load_json(text[start : end + 1])
         except json.JSONDecodeError as exc:
             raise ValueError(f"embedded JSON object is malformed: {exc}") from None
     if not isinstance(parsed, dict):

@@ -21,6 +21,10 @@ from urbanmas.domain import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# A JSON document nested past the recursion limit of every supported
+# interpreter: ``json.loads`` raises ``RecursionError`` on it.
+DEEP_JSON = "[" * 100_000
+
 
 def answer_every_upstream(url, params):
     """A fake geo transport: an address and no POIs."""

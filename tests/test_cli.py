@@ -13,7 +13,7 @@ from urbanmas.cli import RunConfig, load_config, main, make_backend
 from urbanmas.domain import builtin_task
 from urbanmas.errors import ConfigError
 
-from conftest import FIXTURES, answer_every_upstream
+from conftest import DEEP_JSON, FIXTURES, answer_every_upstream
 
 
 @pytest.fixture
@@ -139,6 +139,12 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert f"error: {config}: {key}: " in err
         assert "Traceback" not in err
+
+    def test_config_nested_past_the_recursion_limit_is_unreadable(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(DEEP_JSON)
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read config {config}")):
+            load_config(config, {})
 
     def test_config_that_is_not_an_object(self, tmp_path):
         config = tmp_path / "run.json"

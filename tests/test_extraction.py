@@ -18,7 +18,7 @@ from urbanmas.extraction import (
 from urbanmas.inference import infer_single_llm
 from urbanmas.reliability import ReliabilityConfig
 
-from conftest import FACTOR_NAMES, make_factor_set, scripted_extraction_backend
+from conftest import DEEP_JSON, FACTOR_NAMES, make_factor_set, scripted_extraction_backend
 
 
 def _values(suffix: str = "") -> dict[str, str]:
@@ -128,6 +128,16 @@ class TestExtractVariants:
         with pytest.raises(ExtractionParseError, match="environment_street"):
             _variants(sample, fs, backend)
         assert backend.call_count == 2  # one ask + one re-ask for variant A
+
+    def test_answer_nested_past_the_recursion_limit_is_re_asked(self, sample):
+        fs = make_factor_set()
+        backend = MockBackend()
+        backend.add_rule(lambda r: "unusable" in r.user_prompt, json.dumps(_values()))
+        backend.add_rule(lambda r: r.variant_seed == 0, '{"values": ' + DEEP_JSON + "}")
+        backend.add_rule(lambda r: r.variant_seed == 1, json.dumps(_values(" alt")))
+        var_a, _ = _variants(sample, fs, backend)
+        assert backend.call_count == 3
+        assert var_a.fields[FACTOR_NAMES[0]].text == _values()[FACTOR_NAMES[0]]
 
     def test_blank_value_counts_as_missing(self, sample):
         fs = make_factor_set()

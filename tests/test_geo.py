@@ -6,7 +6,7 @@ from urbanmas.domain import LocationSample
 from urbanmas.errors import EnrichmentError, OfflineMissError, UpstreamUnavailableError
 from urbanmas.geo import GeoClient, IngestConfig, haversine_m
 
-from conftest import answer_every_upstream
+from conftest import DEEP_JSON, answer_every_upstream
 from oracles import brute_haversine_m
 
 TOKYO = (35.65860, 139.74540)
@@ -167,6 +167,13 @@ class TestCorruptCacheEntry:
             client.nearby_pois(*TOKYO)
         assert str(path) in caplog.text
         assert (client.cache_hits, client.cache_misses) == (0, 1)
+
+    def test_entry_nested_past_the_recursion_limit_is_a_miss(self, geocache_dir, caplog):
+        path = geocache_dir / self.POIS
+        path.write_text('{"elements": ' + DEEP_JSON)
+        with pytest.raises(OfflineMissError):
+            offline_client(geocache_dir).nearby_pois(*TOKYO)
+        assert str(path) in caplog.text
 
     def test_entry_without_its_key_is_a_miss(self, geocache_dir):
         (geocache_dir / self.POIS).write_text(json.dumps({"address": "wrong kind"}))

@@ -20,6 +20,8 @@ from urbanmas.guidance import (
     summarize,
 )
 
+from conftest import DEEP_JSON
+
 
 def _factors_json(n: int) -> str:
     return json.dumps(
@@ -256,8 +258,9 @@ class TestGuide:
             lambda text: text[:200],
             lambda text: "[]",
             lambda text: json.dumps({**json.loads(text), "pairs": [{"dimension": "social"}]}),
+            lambda text: DEEP_JSON,
         ],
-        ids=["truncated", "not-an-object", "pair-without-level"],
+        ids=["truncated", "not-an-object", "pair-without-level", "nested-too-deep"],
     )
     def test_corrupt_cache_is_a_guidance_error_naming_the_file(self, task, tmp_path, corrupt):
         cache = factor_cache_path(tmp_path, task.id)
