@@ -142,7 +142,7 @@ def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
     if path:
         try:
             data = load_json(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: must hold a JSON object")
@@ -248,6 +248,10 @@ def cmd_factors(cfg: RunConfig) -> int:
     tasks = cfg.resolve_tasks()
     backend = make_backend(cfg)
     write_manifest(cfg, "factors")
+    # The temp files that killed cache writes left behind go first.
+    pattern = factor_cache_path(cfg.factor_dir, "*")
+    for stale in pattern.parent.glob(f"{pattern.name}.*.tmp"):
+        stale.unlink()
     cached = {t.id for t in tasks if factor_cache_path(cfg.factor_dir, t.id).exists()}
     try:
         factor_maps = guide(tasks, backend, factor_dir=cfg.factor_dir, workers=cfg.workers)

@@ -255,12 +255,17 @@ def write_json_atomic(path: Path, doc: object) -> None:
 
 def load_json(text: str) -> object:
     """``json.loads`` that also raises :class:`json.JSONDecodeError` for a
-    document nested past the recursion limit, so every caller's handler for
-    undecodable text covers it too."""
+    document nested past the recursion limit or an integer longer than
+    ``sys.get_int_max_str_digits()``, so every caller's handler for
+    undecodable text covers them too."""
     try:
         return json.loads(text)
+    except json.JSONDecodeError:
+        raise
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
+    except ValueError as exc:  # the int-string limit
+        raise json.JSONDecodeError(str(exc), text, 0) from None
 
 
 def http_request(

@@ -25,6 +25,10 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # interpreter: ``json.loads`` raises ``RecursionError`` on it.
 DEEP_JSON = "[" * 100_000
 
+# A JSON integer longer than the interpreter's default int-string limit of
+# 4,300 digits: ``json.loads`` raises a bare ``ValueError`` on it.
+LONG_INT_JSON = "1" * 5_000
+
 
 def answer_every_upstream(url, params):
     """A fake geo transport: an address and no POIs."""

@@ -26,7 +26,7 @@ from urbanmas.errors import (
 )
 from urbanmas.pipeline import run_predictions
 
-from conftest import DEEP_JSON, make_factor_set
+from conftest import DEEP_JSON, LONG_INT_JSON, make_factor_set
 
 
 def req(**kwargs) -> ChatRequest:
@@ -519,15 +519,15 @@ class TestLiveBackend:
         assert len(calls) == 3
 
     def test_body_nested_past_the_recursion_limit_is_retried(self):
-        bodies = [DEEP_JSON, _ok_body("second time")]
+        bodies = [DEEP_JSON, LONG_INT_JSON, _ok_body("third time")]
         calls = []
 
         def transport(url, headers, payload):
             calls.append(1)
             return 200, bodies[len(calls) - 1]
 
-        assert live(transport).complete(req()).text == "second time"
-        assert len(calls) == 2
+        assert live(transport).complete(req()).text == "third time"
+        assert len(calls) == 3
 
     def test_always_malformed_body_exhausts_the_retries(self):
         backend = live(lambda *_: (200, json.dumps({"choices": [{}]})))

@@ -13,7 +13,7 @@ from urbanmas.cli import RunConfig, load_config, main, make_backend
 from urbanmas.domain import builtin_task
 from urbanmas.errors import ConfigError
 
-from conftest import DEEP_JSON, FIXTURES, answer_every_upstream
+from conftest import DEEP_JSON, FIXTURES, LONG_INT_JSON, answer_every_upstream
 
 
 @pytest.fixture
@@ -140,11 +140,18 @@ class TestRunConfig:
         assert f"error: {config}: {key}: " in err
         assert "Traceback" not in err
 
-    def test_config_nested_past_the_recursion_limit_is_unreadable(self, tmp_path):
+    def test_config_nested_past_the_recursion_limit_is_unreadable(self, tmp_path, capsys):
+        # Also the other contents that fail to decode: an over-long integer
+        # and bytes that are not UTF-8.
         config = tmp_path / "run.json"
-        config.write_text(DEEP_JSON)
-        with pytest.raises(ConfigError, match=re.escape(f"cannot read config {config}")):
-            load_config(config, {})
+        for content in (DEEP_JSON.encode(), LONG_INT_JSON.encode(), b'{"workers": "\xff"}'):
+            config.write_bytes(content)
+            with pytest.raises(ConfigError, match=re.escape(f"cannot read config {config}")):
+                load_config(config, {})
+            assert run_cli("factors", "--config", str(config), "--out", str(tmp_path / "out")) == 2
+            err = capsys.readouterr().err
+            assert f"error: cannot read config {config}: " in err
+            assert "Traceback" not in err
 
     def test_config_that_is_not_an_object(self, tmp_path):
         config = tmp_path / "run.json"
@@ -184,6 +191,20 @@ class TestFactorsCommand:
         empty.write_text("")
         assert run_cli("factors", "--backend", "replay", "--cassette", str(empty), *args) == 0
         assert "(from cache)" in capsys.readouterr().out
+
+    def test_temp_files_of_killed_cache_writes_are_swept(self, workspace):
+        factors = workspace / "factors"
+        args = (
+            "factors", "--backend", "mock", "--tasks", "running_amount,boringness",
+            "--factor-dir", str(factors), "--out", str(workspace / "out"),
+        )
+        assert run_cli(*args) == 0
+        caches = _tree_bytes(factors)
+        (factors / "factors_running_amount.json.99999.1.tmp").write_text('{"half": ')
+        (factors / "factors_liveliness.json.99999.2.tmp").write_text("")
+        (factors / "notes.tmp").write_text("kept")
+        assert run_cli(*args) == 0
+        assert _tree_bytes(factors) == {**caches, "notes.tmp": b"kept"}
 
     def test_a_failing_task_keeps_the_others_caches(self, workspace, capsys, monkeypatch):
         running = builtin_task("running_amount")

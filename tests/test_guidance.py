@@ -200,6 +200,84 @@ class TestGuide:
         assert list(factor_maps) == [t.id for t in tasks]
         assert backend.call_count == 3 * 4 * 2
 
+    def test_a_summary_takes_the_first_free_call_slot(self, monkeypatch):
+        workers = 2
+        slots = len(PAIRS) * workers
+
+        class LockstepBackend(MockBackend):
+            """Holds each call, and releases the held calls together in rounds.
+
+            A round is released once no thread can do anything but wait for
+            it: the thread that opened the pool waits for a result, and every
+            call slot holds a call, or every pool task not yet ended does.
+            """
+
+            def __init__(self):
+                super().__init__()
+                self.cond = threading.Condition()
+                self.held = 0
+                self.unended = 0
+                self.opener_waits = False
+                self.rounds = 0
+
+            def _release_if_settled(self):
+                if self.opener_waits and self.held and self.held in (slots, self.unended):
+                    self.rounds += 1
+                    self.held = 0
+                    self.cond.notify_all()
+
+            def update(self, unended=0, opener_waits=False):
+                with self.cond:
+                    self.unended += unended
+                    self.opener_waits |= opener_waits
+                    self._release_if_settled()
+
+            def complete(self, req):
+                with self.cond:
+                    round_ = self.rounds
+                    self.held += 1
+                    self._release_if_settled()
+                    assert self.cond.wait_for(lambda: self.rounds != round_, timeout=10)
+                return super().complete(req)
+
+        backend = LockstepBackend()
+
+        class CountingPool(guidance.ThreadPoolExecutor):
+            """Tells the backend when a task is submitted and when it ends,
+            and when the thread that opened the pool first waits for a result."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.opener = threading.get_ident()
+
+            def submit(self, fn, *args):
+                def run():
+                    try:
+                        return fn(*args)
+                    finally:
+                        backend.update(unended=-1)
+
+                backend.update(unended=1)
+                future = super().submit(run)
+                if threading.get_ident() == self.opener:
+                    wait = future.result
+
+                    def result(timeout=None):
+                        backend.update(opener_waits=True)
+                        return wait(timeout)
+
+                    future.result = result
+                return future
+
+        tasks = [builtin_task(t) for t in ("running_amount", "boringness", "liveliness")]
+        expected = guide(tasks, MockBackend())
+        monkeypatch.setattr(guidance, "ThreadPoolExecutor", CountingPool)
+        assert guide(tasks, backend, workers=workers) == expected
+        assert backend.call_count == 3 * 4 * 2
+        # 12 researches and 12 summaries fill 8 slots in 3 rounds. A summary
+        # bound to its research's thread needs 4: the last 4 chains run alone.
+        assert backend.rounds == 3
+
     def test_failing_pair_is_named(self, task):
         backend = MockBackend()
         backend.add_rule(
