@@ -24,6 +24,7 @@ Environment for the live backend: ``URBANMAS_API_KEY``, ``URBANMAS_API_BASE``
 from __future__ import annotations
 
 import base64
+import glob
 import hashlib
 import json
 import logging
@@ -37,7 +38,7 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from . import domain
-from .domain import http_request, load_json, write_text_atomic
+from .domain import http_request, load_json, remove_stale_temp_files, write_text_atomic
 from .errors import (
     AuthenticationError,
     CassetteFormatError,
@@ -290,14 +291,16 @@ class CassetteBackend(ChatBackend):
     with that fingerprint gets that same response, concurrent ones included
     (record, live). A failed inner call stores nothing. An unterminated last
     line that does not parse is an append cut short: it is dropped with a
-    warning, and record cuts it off before appending.
+    warning. Opening a cassette for record cuts such a line, ends a whole
+    one, removes a killed rewrite's temp files and makes its directory.
     """
 
     def __init__(self, path: str | Path | None, inner: ChatBackend | None = None):
         self.path = None if path is None else Path(path)
         self._inner = inner
-        # Set when the cassette does not end in a whole line: (cut to, first append's prefix).
-        self._mend: tuple[int, str] | None = None
+        if self.path is not None and inner is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            remove_stale_temp_files(self.path.with_name(glob.escape(self.path.name)))
         self._entries = self._load()
         self._in_flight: dict[str, Future] = {}
         self._lock = threading.Lock()
@@ -307,10 +310,9 @@ class CassetteBackend(ChatBackend):
         entries: dict[str, ChatResponse] = {}
         if self.path is None or not self.path.exists():
             return entries
-        end = 0
+        raw, torn = b"\n", False
         with open(self.path, "rb") as fh:
             for lineno, raw in enumerate(fh, 1):
-                start, end = end, end + len(raw)
                 if not raw.strip():
                     continue
                 try:
@@ -324,13 +326,15 @@ class CassetteBackend(ChatBackend):
                             f"{self.path}:{lineno}: bad cassette line: {exc}"
                         ) from exc
                     logger.warning("%s:%d: dropping torn cassette line: %s", self.path, lineno, exc)
-                    self._mend = (start, "")
+                    torn = True
                     continue
                 if fp in entries:
                     logger.warning("duplicate cassette fingerprint %s; last write wins", fp)
                 entries[fp] = ChatResponse(text)
-                if not raw.endswith(b"\n"):
-                    self._mend = (end, "\n")
+        if self._inner is not None and not raw.endswith(b"\n"):
+            with open(self.path, "ab") as fh:  # rewrite the last line: dropped if torn, else ended
+                fh.truncate(fh.tell() - len(raw))
+                fh.write(b"" if torn else raw + b"\n")
         return entries
 
     def complete(self, req: ChatRequest) -> ChatResponse:
@@ -358,11 +362,6 @@ class CassetteBackend(ChatBackend):
             )
             with self._lock:
                 if self.path is not None:
-                    self.path.parent.mkdir(parents=True, exist_ok=True)
-                    if self._mend is not None:
-                        os.truncate(self.path, self._mend[0])
-                        line = self._mend[1] + line
-                        self._mend = None
                     with open(self.path, "a", encoding="utf-8") as fh:
                         fh.write(line + "\n")
                     self._appended = True
@@ -478,10 +477,10 @@ class LiveConfig:
 class LiveBackend(ChatBackend):
     """OpenAI-compatible chat-completions client with retry and rate limiting.
 
+    Missing credentials fail when it is made, rejected ones at once.
     Transient transport failures (connection errors, 429, 5xx) are retried
-    with exponential backoff; credential rejections fail immediately. A
-    token bucket enforces the requests-per-minute budget; the calling
-    threads bound how many requests are in flight.
+    with exponential backoff. A token bucket enforces the requests-per-minute
+    budget; the calling threads bound how many requests are in flight.
     """
 
     def __init__(
@@ -491,7 +490,16 @@ class LiveBackend(ChatBackend):
         sleep: Callable[[float], None] = time.sleep,
         rate_limiter: RateLimiter | None = None,
     ):
+        if not config.api_key:
+            raise AuthenticationError("URBANMAS_API_KEY is not set")
+        if not config.api_base:
+            raise AuthenticationError("URBANMAS_API_BASE is not set")
         self.config = config
+        self._url = config.api_base.rstrip("/") + "/chat/completions"
+        self._headers = {
+            "Authorization": f"Bearer {config.api_key}",
+            "Content-Type": "application/json",
+        }
         self._transport = transport or _http_post
         self._sleep = sleep
         self._limiter = rate_limiter or RateLimiter(self.config.requests_per_minute, sleep=sleep)
@@ -520,15 +528,6 @@ class LiveBackend(ChatBackend):
         return payload
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        if not self.config.api_key:
-            raise AuthenticationError("URBANMAS_API_KEY is not set")
-        if not self.config.api_base:
-            raise AuthenticationError("URBANMAS_API_BASE is not set")
-        url = self.config.api_base.rstrip("/") + "/chat/completions"
-        headers = {
-            "Authorization": f"Bearer {self.config.api_key}",
-            "Content-Type": "application/json",
-        }
         payload = self._payload(req)
         for attempt in range(1, DEFAULT_MAX_ATTEMPTS + 1):
             if attempt > 1:
@@ -536,7 +535,7 @@ class LiveBackend(ChatBackend):
                 self._sleep(DEFAULT_BACKOFF_BASE_S * (2 ** (attempt - 2)))
             self._limiter.acquire()
             try:
-                status, body = self._transport(url, headers, payload)
+                status, body = self._transport(self._url, self._headers, payload)
             except Exception as exc:
                 last_error = f"transport error: {exc}"
                 continue

@@ -33,6 +33,7 @@ from .domain import (
     builtin_task,
     load_json,
     load_samples,
+    remove_stale_temp_files,
     save_samples,
     write_text_atomic,
 )
@@ -249,9 +250,7 @@ def cmd_factors(cfg: RunConfig) -> int:
     backend = make_backend(cfg)
     write_manifest(cfg, "factors")
     # The temp files that killed cache writes left behind go first.
-    pattern = factor_cache_path(cfg.factor_dir, "*")
-    for stale in pattern.parent.glob(f"{pattern.name}.*.tmp"):
-        stale.unlink()
+    remove_stale_temp_files(factor_cache_path(cfg.factor_dir, "*"))
     cached = {t.id for t in tasks if factor_cache_path(cfg.factor_dir, t.id).exists()}
     try:
         factor_maps = guide(tasks, backend, factor_dir=cfg.factor_dir, workers=cfg.workers)
@@ -272,6 +271,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     samples = _load_dataset(cfg)
     client = GeoClient(_ingest_config(cfg))
     write_manifest(cfg, "ingest")
+    remove_stale_temp_files(Path(cfg.cache_dir) / "*.json")
 
     enriched: dict[str, LocationSample] = {}
     hard_failures: dict[str, str] = {}

@@ -249,6 +249,13 @@ def write_text_atomic(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
+def remove_stale_temp_files(path: Path) -> None:
+    """Remove the temp files that killed :func:`write_text_atomic` calls left
+    for ``path``, whose name may be a glob pattern."""
+    for stale in path.parent.glob(f"{path.name}.*.tmp"):
+        stale.unlink()
+
+
 def write_json_atomic(path: Path, doc: object) -> None:
     write_text_atomic(path, [json.dumps(doc, ensure_ascii=False, indent=1)])
 

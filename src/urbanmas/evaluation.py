@@ -168,15 +168,18 @@ def load_ground_truth_csv(path: str | Path) -> dict[tuple[str, str], float]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"location_id", "task_id", "raw_value"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise EvaluationError(
-                f"{path}: ground truth needs columns {sorted(required)}, got {reader.fieldnames}"
-            )
-        for row in reader:
-            try:
-                table[(row["location_id"], row["task_id"])] = float(row["raw_value"])
-            except (TypeError, ValueError) as exc:
-                raise EvaluationError(f"{path}:{reader.line_num}: bad raw_value: {exc}") from exc
+        try:
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+                raise EvaluationError(
+                    f"{path}: ground truth needs columns {sorted(required)}, got {reader.fieldnames}"
+                )
+            for row in reader:
+                try:
+                    table[(row["location_id"], row["task_id"])] = float(row["raw_value"])
+                except (TypeError, ValueError) as exc:
+                    raise EvaluationError(f"{path}:{reader.line_num}: bad raw_value: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise EvaluationError(f"{path}: not UTF-8: {exc}") from exc
     return table
 
 

@@ -394,6 +394,38 @@ class TestTornCassette:
         assert not caplog.records
         assert [replay.complete(req(user_prompt=p)).text for p in self.PROMPTS] == texts
 
+    @pytest.mark.parametrize("cut", [30, 1], ids=["torn-line", "lost-newline"])
+    def test_record_mends_the_cassette_when_it_opens_it(self, tmp_path, cut):
+        path = tmp_path / "cassette.jsonl"
+        self._record(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-cut])
+        CassetteBackend(path, MockBackend())
+        whole = data.splitlines(keepends=True)
+        assert path.read_bytes() == b"".join(whole if cut == 1 else whole[:-1])
+
+    def test_record_removes_the_temp_files_of_a_killed_rewrite(self, tmp_path):
+        path = tmp_path / "cassette.jsonl"
+        self._record(path)
+        data = path.read_bytes()
+        (tmp_path / "cassette.jsonl.99999.1.tmp").write_bytes(data[:10])
+        (tmp_path / "other.jsonl.99999.1.tmp").write_text("kept")
+        (tmp_path / "notes.tmp").write_text("kept")
+        CassetteBackend(path)
+        assert (tmp_path / "cassette.jsonl.99999.1.tmp").exists()
+        CassetteBackend(path, MockBackend())
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cassette.jsonl", "notes.tmp", "other.jsonl.99999.1.tmp",
+        ]
+        assert path.read_bytes() == data
+
+    def test_record_creates_the_cassette_directory(self, tmp_path):
+        path = tmp_path / "new" / "cassette.jsonl"
+        CassetteBackend(path)
+        assert not path.parent.exists()
+        CassetteBackend(path, MockBackend())
+        assert path.parent.is_dir() and not path.exists()
+
     def test_replay_of_a_torn_line_is_a_miss(self, tmp_path):
         path = tmp_path / "cassette.jsonl"
         texts = self._record(path)
@@ -582,9 +614,27 @@ class TestLiveBackend:
         def transport(url, headers, payload):  # pragma: no cover - must not run
             raise AssertionError("network touched")
 
-        backend = LiveBackend(LiveConfig(api_base="", api_key=""), transport=transport)
-        with pytest.raises(AuthenticationError):
-            backend.complete(req())
+        for cfg, missing in (
+            (LiveConfig(api_base="https://api.test/v1", api_key=""), "URBANMAS_API_KEY"),
+            (LiveConfig(api_base="", api_key="k"), "URBANMAS_API_BASE"),
+        ):
+            with pytest.raises(AuthenticationError, match=f"{missing} is not set"):
+                LiveBackend(cfg, transport=transport)
+
+    @pytest.mark.parametrize(
+        "settings, sent",
+        [({}, {}), ({"temperature": 0.0, "top_p": 0.9}, {"temperature": 0.0, "top_p": 0.9})],
+        ids=["unset", "set"],
+    )
+    def test_sampling_settings_are_sent_only_when_set(self, settings, sent):
+        payloads = []
+
+        def transport(url, headers, payload):
+            payloads.append(payload)
+            return 200, _ok_body()
+
+        live(transport, **settings).complete(req())
+        assert {k: payloads[0][k] for k in ("temperature", "top_p") if k in payloads[0]} == sent
 
     @pytest.mark.parametrize("name, mime", [("view.png", "image/png"), ("view.jpg", "image/jpeg")])
     def test_local_image_ref_is_sent_inline(self, tmp_path, name, mime):

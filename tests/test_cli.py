@@ -358,6 +358,19 @@ class TestIngestCommand:
         ) == code
         assert failed in capsys.readouterr().out
 
+    def test_temp_files_of_killed_cache_writes_are_swept(self, workspace):
+        cache = workspace / "geocache"
+        args = (
+            "ingest", "--offline", "--dataset", str(workspace / "raw_samples.jsonl"),
+            "--cache-dir", str(cache), "--out", str(workspace / "out"),
+        )
+        entries = _tree_bytes(cache)
+        (cache / "reverse_35.65860_139.74540.json.99999.1.tmp").write_text('{"half": ')
+        (cache / "pois_1.00000_2.00000.json.99999.2.tmp").write_text("")
+        (cache / "notes.tmp").write_text("kept")
+        assert run_cli(*args) == 0
+        assert _tree_bytes(cache) == {**entries, "notes.tmp": b"kept"}
+
     def test_empty_dataset_is_an_error(self, workspace, capsys):
         empty = workspace / "empty.jsonl"
         empty.write_text("")
@@ -821,10 +834,31 @@ class TestLiveMode:
         assert not cassette.exists()
 
     @pytest.mark.parametrize("mode", ["mock", "live", "record", "replay"])
-    def test_every_mode_but_mock_is_one_store(self, workspace, mode):
+    def test_every_mode_but_mock_is_one_store(self, workspace, mode, monkeypatch):
+        monkeypatch.setenv("URBANMAS_API_BASE", "http://127.0.0.1:9/v1")
+        monkeypatch.setenv("URBANMAS_API_KEY", "k")
         cfg = RunConfig(backend=mode, cassette=str(workspace / "cassette.jsonl"))
         backend = make_backend(cfg)
         assert type(backend) is (MockBackend if mode == "mock" else CassetteBackend)
+
+    def test_missing_key_stops_the_run_before_it_starts(self, workspace, capsys, monkeypatch):
+        def post(url, headers, payload):  # pragma: no cover - must not run
+            raise AssertionError("request sent")
+
+        monkeypatch.setattr("urbanmas.backend._http_post", post)
+        monkeypatch.setenv("URBANMAS_API_BASE", "http://127.0.0.1:9/v1")
+        monkeypatch.delenv("URBANMAS_API_KEY", raising=False)
+        cassette, out = workspace / "rec" / "cassette.jsonl", workspace / "out"
+        code = run_cli(
+            "factors", "--backend", "record", "--record-source", "live",
+            "--cassette", str(cassette), "--tasks", "running_amount,boringness,liveliness",
+            "--factor-dir", str(workspace / "factors"), "--out", str(out),
+        )
+        assert code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: URBANMAS_API_KEY is not set"]
+        assert not (out / "manifest.json").exists()
+        assert not cassette.parent.exists()
 
 
 class TestExitCodes:
@@ -880,15 +914,16 @@ class TestBadInputFiles:
     @pytest.mark.parametrize(
         "command, flag, content, where",
         [
-            ("predict", "--dataset", "\nnot json\n", ":2: "),
+            ("predict", "--dataset", b"\nnot json\n", ":2: "),
             ("predict", "--dataset", None, ": "),
-            ("evaluate", "--predictions", "\nnot json\n", ":2: "),
-            ("evaluate", "--truth", "location_id,task_id,raw_value\ntokyo_tower,running_amount,high\n", ":2: "),
+            ("evaluate", "--predictions", b"\nnot json\n", ":2: "),
+            ("evaluate", "--truth", b"location_id,task_id,raw_value\ntokyo_tower,running_amount,high\n", ":2: "),
+            ("evaluate", "--truth", b"location_id,task_id,raw_value\ntokyo_tower,running_amount,\xff\n", ": "),
             ("evaluate", "--truth", None, ": "),
         ],
         ids=[
             "dataset-bad-line", "dataset-missing", "predictions-bad-line",
-            "truth-not-a-number", "truth-missing",
+            "truth-not-a-number", "truth-not-utf8", "truth-missing",
         ],
     )
     def test_bad_input_file_is_a_labelled_usage_error(
@@ -896,7 +931,7 @@ class TestBadInputFiles:
     ):
         bad = workspace / "bad_input"
         if content is not None:
-            bad.write_text(content)
+            bad.write_bytes(content)
         predictions = workspace / "predictions.jsonl"
         predictions.write_text(
             json.dumps({"location_id": "tokyo_tower", "task_id": "running_amount",

@@ -292,14 +292,20 @@ class TestUnusableBody:
     CASES = [
         *((method, body) for method in UPSTREAMS for body in ("[]", "null", '"x"', "{}")),
         ("nearby_pois", '{"elements": [1]}'),
+        ("reverse_geocode", '{"display_name": 5}'),
+        ("nearby_pois", '{"elements": [{"lat": "1.0", "lon": 2.0}]}'),
+        *((method, ConnectionError("connection refused")) for method in UPSTREAMS),
     ]
 
     @staticmethod
     def _client(tmp_path, method: str, body: str) -> GeoClient:
-        """Answers ``body`` from ``method``'s upstream and well from the others."""
+        """Answers ``body`` from ``method``'s upstream, or raises it if it is an
+        exception, and answers well from the others."""
 
         def fake_get(url, params):
             if UPSTREAMS[method][0] in url:
+                if isinstance(body, Exception):
+                    raise body
                 return 200, body
             return 200, json.dumps(next(good for frag, good, _ in UPSTREAMS.values() if frag in url))
 

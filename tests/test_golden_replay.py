@@ -26,16 +26,28 @@ change is intended::
     cp $OUT/predictions.jsonl $OUT/similarity_reports.jsonl $G/
     (cd $OUT/audit && find . -type f | LC_ALL=C sort | xargs sha256sum) \\
         | sha256sum | cut -c1-64 > $G/audit.sha256
+
+The third test replays the set through the CLI in a child process under
+each other Python that CI tests, when it is on ``PATH`` and starts.
 """
 
 import hashlib
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import urbanmas
 from urbanmas.cli import main
 
 from conftest import FIXTURES
 
 GOLDEN = FIXTURES / "golden"
+SRC = Path(urbanmas.__file__).resolve().parent.parent
+DATASET = str(FIXTURES / "samples.jsonl")
 FACTOR_CACHE = "factors_running_amount.json"
 VARIANT_FLAGS = (
     "--variant", "full", "--variant", "no_factors",
@@ -54,23 +66,55 @@ def audit_digest(audit_dir: Path) -> str:
     return hashlib.sha256(listing.encode()).hexdigest()
 
 
-def test_replay_of_the_golden_cassette_reproduces_the_pinned_outputs(tmp_path):
-    cassette = str(GOLDEN / "cassette.jsonl")
-    factor_dir, out = tmp_path / "factors", tmp_path / "out"
-    common = ["--backend", "replay", "--cassette", cassette, "--tasks", "running_amount",
-              "--factor-dir", str(factor_dir), "--out", str(out), "--workers", "2"]
-    assert main(["factors", *common]) == 0
-    assert (factor_dir / FACTOR_CACHE).read_bytes() == (GOLDEN / "factors" / FACTOR_CACHE).read_bytes()
+def replay_commands(factor_dir: Path, out: Path, workers: str) -> list[list[str]]:
+    """The ``factors`` and ``predict`` arguments of a replay of the golden set."""
+    common = ["--backend", "replay", "--cassette", str(GOLDEN / "cassette.jsonl"),
+              "--tasks", "running_amount", "--factor-dir", str(factor_dir), "--out", str(out),
+              "--workers", workers]
+    return [["factors", *common], ["predict", *common, "--dataset", DATASET, *VARIANT_FLAGS]]
 
-    dataset = str(FIXTURES / "samples.jsonl")
-    assert main(["predict", *common, "--dataset", dataset, *VARIANT_FLAGS]) == 0
+
+def assert_pinned_outputs(factor_dir: Path, out: Path) -> None:
+    assert (factor_dir / FACTOR_CACHE).read_bytes() == (GOLDEN / "factors" / FACTOR_CACHE).read_bytes()
     for name in ("predictions.jsonl", "similarity_reports.jsonl"):
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
     assert audit_digest(out / "audit") == (GOLDEN / "audit.sha256").read_text().strip()
 
 
+def test_replay_of_the_golden_cassette_reproduces_the_pinned_outputs(tmp_path):
+    factor_dir, out = tmp_path / "factors", tmp_path / "out"
+    for argv in replay_commands(factor_dir, out, "2"):
+        assert main(argv) == 0
+    assert_pinned_outputs(factor_dir, out)
+
+
+# The versions CI tests, less the one running this suite.
+OTHER_PYTHONS = [f"python3.{minor}" for minor in range(10, 14) if minor != sys.version_info.minor]
+
+
+@pytest.mark.parametrize("python", OTHER_PYTHONS)
+def test_replay_under_another_python_reproduces_the_pinned_outputs(tmp_path, python):
+    """The CLI in development mode with warnings as errors, at 1 and 4 workers."""
+    path = shutil.which(python)
+    if path is None:
+        pytest.skip(f"{python} is not on PATH")
+    probe = subprocess.run([path, "-c", "pass"], capture_output=True, text=True, timeout=60)
+    if probe.returncode != 0:
+        said = "".join((probe.stderr or probe.stdout).strip().splitlines()[:1])
+        pytest.skip(f"{python} ({path}) cannot start: exit {probe.returncode}: {said}")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for workers in ("1", "4"):
+        factor_dir, out = tmp_path / f"factors_{workers}", tmp_path / f"out_{workers}"
+        for argv in replay_commands(factor_dir, out, workers):
+            done = subprocess.run(
+                [path, "-X", "dev", "-W", "error", "-m", "urbanmas.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+        assert_pinned_outputs(factor_dir, out)
+
+
 def test_recording_at_any_width_reproduces_the_committed_cassette(tmp_path):
-    dataset = str(FIXTURES / "samples.jsonl")
     recorded = []
     for workers in ("1", "4"):
         run = tmp_path / f"workers_{workers}"
@@ -79,6 +123,6 @@ def test_recording_at_any_width_reproduces_the_committed_cassette(tmp_path):
                   "--tasks", "running_amount", "--factor-dir", str(run / "factors"),
                   "--out", str(run / "out"), "--workers", workers]
         assert main(["factors", *common]) == 0
-        assert main(["predict", *common, "--dataset", dataset, *VARIANT_FLAGS]) == 0
+        assert main(["predict", *common, "--dataset", DATASET, *VARIANT_FLAGS]) == 0
         recorded.append(cassette.read_bytes())
     assert recorded[0] == recorded[1] == (GOLDEN / "cassette.jsonl").read_bytes()

@@ -119,6 +119,16 @@ class TestSummarize:
         fs = summarize(_report(task), task, backend)
         assert len(fs.factors) == 6
 
+    def test_factors_that_are_not_a_list_are_fed_back(self, task):
+        backend = MockBackend()
+        backend.add_rule(
+            lambda r: '"factors" is not a list' in r.user_prompt, _factors_json(6)
+        )
+        backend.add_rule(lambda r: True, json.dumps({"factors": "six factors"}))
+        fs = summarize(_report(task), task, backend)
+        assert len(fs.factors) == 6
+        assert backend.call_count == 2
+
 
 class TestGuide:
     def test_exactly_four_pairs(self, task):

@@ -93,6 +93,27 @@ class TestInfer:
         with pytest.raises(SchemaFailureError):
             infer(task, _records(), backend)
 
+    @pytest.mark.parametrize(
+        "payload, problem",
+        [
+            ({"running_amount": "NaN"}, "non-finite number: nan"),
+            ({"running_amount": "inf"}, "non-finite number: inf"),
+            ({"running_amount": "high"}, "not numeric: 'high'"),
+            ({"running_amount": [4.0]}, "not numeric: [4.0]"),
+            ({"rationale": "no value given"}, 'key "running_amount" missing'),
+        ],
+        ids=["nan", "inf", "word", "list", "no-output-key"],
+    )
+    def test_unusable_answer_is_retried_naming_its_problem(self, task, payload, problem):
+        backend = MockBackend()
+        backend.add_rule(
+            lambda r: f"invalid: {problem}." in r.user_prompt, json.dumps({"running_amount": 3.3})
+        )
+        backend.add_rule(lambda r: True, json.dumps(payload))
+        pred = infer(task, _records(), backend)
+        assert pred.value == 3.3
+        assert backend.call_count == 2
+
     def test_rationale_is_stored_but_optional(self, task):
         pred = infer(
             task, _records(), _answer_backend({"running_amount": 2.0, "rationale": "flat park"})
