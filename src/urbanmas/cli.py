@@ -21,7 +21,7 @@ import os
 import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -56,7 +56,6 @@ from .pipeline import (
     write_predictions,
     write_similarity_log,
 )
-from .reliability import ReliabilityConfig
 
 logger = logging.getLogger(__name__)
 
@@ -81,7 +80,6 @@ class RunConfig:
     factor_dir: str = "runs/factors"
     poi_radius_m: float = 300.0
     poi_limit: int = 25
-    reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
     model: str | None = None
     api_base: str | None = None
     temperature: float | None = None
@@ -136,7 +134,7 @@ def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus CLI overrides.
 
     Unknown keys are rejected at every level. An error names the file and
-    the top-level key, as in ``run.json: reliability: unknown keys: [...]``
+    the top-level key, as in ``run.json: custom_tasks: unknown keys: [...]``
     or ``run.json: workers: must be an integer >= 1, got 'two'``.
     """
     data: dict = {}
@@ -154,9 +152,6 @@ def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
         custom_tasks = tuple(
             TaskSpec(**_known_keys(t, TaskSpec)) for t in data.pop("custom_tasks", ())
         )
-        key = "reliability: "
-        section = data.pop("reliability", {})
-        reliability = ReliabilityConfig(**_known_keys(section, ReliabilityConfig))
         for name in ("tasks", "variants"):
             key = f"{name}: "
             if isinstance(data.get(name), str):
@@ -164,11 +159,7 @@ def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
             if name in data:
                 data[name] = tuple(data[name])
         key = ""
-        return RunConfig(
-            custom_tasks=custom_tasks,
-            reliability=reliability,
-            **_known_keys(data, RunConfig),
-        )
+        return RunConfig(custom_tasks=custom_tasks, **_known_keys(data, RunConfig))
     except (AttributeError, TypeError, ValueError, ConfigError) as exc:
         where = f"{path}: " if path else ""
         raise ConfigError(f"{where}{key}{exc}") from exc
@@ -349,7 +340,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     try:
         try:
             outcome = run_predictions(
-                samples, tasks, cfg.variants, backend, cfg.reliability, factor_maps,
+                samples, tasks, cfg.variants, backend, factor_maps,
                 workers=cfg.workers,
                 # write_audit is looked up per call, so a wrapper set on this module sees each job.
                 on_job_end=lambda run: write_audit(run, staging),
@@ -496,9 +487,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_ingest(cfg)
         if args.command == "predict":
             return cmd_predict(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.predictions, args.truth, args.rescale_truth)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_evaluate(cfg, args.predictions, args.truth, args.rescale_truth)
     except UrbanMasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

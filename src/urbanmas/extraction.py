@@ -27,7 +27,7 @@ from .domain import (
     pair_label,
 )
 from .errors import ExtractionError, ExtractionParseError
-from .reliability import ReliabilityConfig, evaluate, reconcile
+from .reliability import evaluate, reconcile
 from .structured import extract_json_object
 
 logger = logging.getLogger(__name__)
@@ -253,7 +253,6 @@ def extract_pair(
     sample: LocationSample,
     fs: FactorSet,
     backend: ChatBackend,
-    cfg: ReliabilityConfig,
     context: str,
     reliability_enabled: bool = True,
 ) -> PairExtraction:
@@ -272,8 +271,8 @@ def extract_pair(
             prompt=prompt, variant_a=record, variant_b=None, report=None, record=record
         )
     var_a, var_b = extract_variants(sample, fs, backend, prompt)
-    report = evaluate(var_a, var_b, cfg)
-    record = reconcile(var_a, var_b, report, _refine_fn(context, fs, backend), cfg)
+    report = evaluate(var_a, var_b)
+    record = reconcile(var_a, var_b, report, _refine_fn(context, fs, backend))
     return PairExtraction(
         prompt=prompt, variant_a=var_a, variant_b=var_b, report=report, record=record
     )
@@ -283,7 +282,6 @@ def extract_reliable(
     sample: LocationSample,
     factor_map: Mapping[tuple[Dimension, Level], FactorSet],
     backend: ChatBackend,
-    cfg: ReliabilityConfig | None = None,
     reliability_enabled: bool = True,
 ) -> dict[tuple[Dimension, Level], PairExtraction]:
     """Run the four extraction chains for one location, in turn, in the caller's thread.
@@ -292,7 +290,6 @@ def extract_reliable(
     The first failure stops the job: it is re-raised labeled with the
     failing pair, and the later pairs are never requested.
     """
-    cfg = cfg or ReliabilityConfig()
     missing = [pair_label(d, r) for d, r in PAIRS if (d, r) not in factor_map]
     if missing:
         raise ExtractionError(f"factor map is missing pairs: {missing}")
@@ -301,7 +298,7 @@ def extract_reliable(
     for pair in PAIRS:
         try:
             results[pair] = extract_pair(
-                sample, factor_map[pair], backend, cfg, context, reliability_enabled
+                sample, factor_map[pair], backend, context, reliability_enabled
             )
         except Exception as exc:
             raise ExtractionError(f"{pair_label(*pair)}: {exc}") from exc

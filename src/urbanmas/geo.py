@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
+from .backend import RateLimiter
 from .domain import LocationSample, PoiEntry, http_request, load_json, write_json_atomic
 from .errors import EnrichmentError, OfflineMissError, UpstreamUnavailableError
 
@@ -107,8 +108,9 @@ class GeoClient:
     def __init__(self, config: IngestConfig, http_get: HttpGet | None = None):
         self.config = config
         self._http_get = http_get or _http_get
-        self._throttle_lock = threading.Lock()
-        self._last_request = 0.0
+        # A bucket of one token, refilled each GEOCODER_INTERVAL_S. time.sleep is read
+        # here, not at import, so that a patched sleep applies.
+        self._geocoder_pacer = RateLimiter(60.0 / GEOCODER_INTERVAL_S, sleep=time.sleep)
         self._stats_lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -148,11 +150,7 @@ class GeoClient:
         if self.config.offline:
             raise OfflineMissError(f"no cached {kind} entry for {_coord_key(lat, lon)}")
         if kind == "reverse":
-            with self._throttle_lock:
-                wait = GEOCODER_INTERVAL_S - (time.monotonic() - self._last_request)
-                if wait > 0:
-                    time.sleep(wait)
-                self._last_request = time.monotonic()
+            self._geocoder_pacer.acquire()
         with self._stats_lock:
             self.network_calls += 1
         try:

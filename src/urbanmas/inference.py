@@ -27,7 +27,7 @@ from .domain import (
 )
 from .errors import MissingRecordsError, SchemaFailureError
 from .extraction import location_context
-from .reliability import DEFAULT_THRESHOLD
+from .reliability import THRESHOLD
 from .structured import coerce_number, extract_json_object
 
 logger = logging.getLogger(__name__)
@@ -56,14 +56,14 @@ def _ordered_records(
     return {pair: by_pair[pair] for pair in PAIRS}
 
 
-def _render_record(record: UrbanInfoRecord, threshold: float) -> str:
+def _render_record(record: UrbanInfoRecord) -> str:
     lines = [f"[{pair_label(record.dimension, record.level).replace('_', ', ')}]"]
     for name, value in record.fields.items():
         marker = ""
         if (
             record.status == "low_confidence"
             and value.similarity is not None
-            and value.similarity < threshold
+            and value.similarity < THRESHOLD
         ):
             marker = " (low confidence)"
         lines.append(f"- {name}: {value.text}{marker}")
@@ -78,14 +78,10 @@ def _schema_instruction(task: TaskSpec) -> str:
     )
 
 
-def build_inference_prompt(
-    task: TaskSpec,
-    records: Iterable[UrbanInfoRecord],
-    threshold: float = DEFAULT_THRESHOLD,
-) -> str:
+def build_inference_prompt(task: TaskSpec, records: Iterable[UrbanInfoRecord]) -> str:
     """Joint prompt over the four records; input order does not matter."""
     ordered = _ordered_records(records)
-    sections = "\n\n".join(_render_record(rec, threshold) for rec in ordered.values())
+    sections = "\n\n".join(_render_record(rec) for rec in ordered.values())
     return (
         f"Task: {task.description}\n"
         f'Estimate "{task.output_key}" for this location on a scale from '
@@ -157,14 +153,13 @@ def infer(
     records: Iterable[UrbanInfoRecord],
     backend: ChatBackend,
     variant: str = "full",
-    threshold: float = DEFAULT_THRESHOLD,
 ) -> PredictionOutput:
     """Predict the task output from the four settled records."""
     ordered = _ordered_records(records)
     location_ids = {rec.location_id for rec in ordered.values()}
     if len(location_ids) != 1:
         raise MissingRecordsError(f"records span multiple locations: {sorted(location_ids)}")
-    prompt = build_inference_prompt(task, ordered.values(), threshold)
+    prompt = build_inference_prompt(task, ordered.values())
     return _complete_schema_checked(task, prompt, backend, location_ids.pop(), variant)
 
 

@@ -44,7 +44,6 @@ from .errors import ConfigError
 from .extraction import PairExtraction, extract_reliable
 from .guidance import FactorMap, generic_factor_map
 from .inference import build_inference_prompt, infer, infer_single_llm
-from .reliability import ReliabilityConfig
 
 logger = logging.getLogger(__name__)
 
@@ -100,7 +99,6 @@ def predict_location(
     task: TaskSpec,
     variant: str,
     backend: ChatBackend,
-    rel_cfg: ReliabilityConfig | None = None,
     factor_map: FactorMap | None = None,
     pairs: Mapping[tuple[Dimension, Level], PairExtraction] | None = None,
     prediction: PredictionOutput | None = None,
@@ -123,7 +121,6 @@ def predict_location(
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r} (one of {VARIANTS})")
-    rel_cfg = rel_cfg or ReliabilityConfig()
 
     if pairs is not None and variant not in ("no_factors", "no_reliability"):
         raise ConfigError(
@@ -139,11 +136,7 @@ def predict_location(
 
     if pairs is None:
         pairs = extract_reliable(
-            sample,
-            factor_map,
-            backend,
-            cfg=rel_cfg,
-            reliability_enabled=(variant != "no_reliability"),
+            sample, factor_map, backend, reliability_enabled=(variant != "no_reliability")
         )
     elif variant == "no_factors":
         pairs = {key: pe.for_task(task.id) for key, pe in pairs.items()}
@@ -157,22 +150,20 @@ def predict_location(
                     f"task {own}, not of {(pe.record.location_id, pe.record.task_id)}"
                 )
         ungated = {key: pe.ungated() for key, pe in pairs.items()}
-        if prediction is not None and _inference_prompt(task, ungated, rel_cfg) == (
-            _inference_prompt(task, pairs, rel_cfg)
+        if prediction is not None and _inference_prompt(task, ungated) == (
+            _inference_prompt(task, pairs)
         ):
             return LocationRun(prediction=replace(prediction, variant=variant), pairs=ungated)
         pairs = ungated
     records = [pe.record for pe in pairs.values()]
-    prediction = infer(task, records, backend, variant=variant, threshold=rel_cfg.threshold)
+    prediction = infer(task, records, backend, variant=variant)
     return LocationRun(prediction=prediction, pairs=pairs)
 
 
 def _inference_prompt(
-    task: TaskSpec,
-    pairs: Mapping[tuple[Dimension, Level], PairExtraction],
-    rel_cfg: ReliabilityConfig,
+    task: TaskSpec, pairs: Mapping[tuple[Dimension, Level], PairExtraction]
 ) -> str:
-    return build_inference_prompt(task, [pe.record for pe in pairs.values()], rel_cfg.threshold)
+    return build_inference_prompt(task, [pe.record for pe in pairs.values()])
 
 
 @dataclass
@@ -220,7 +211,6 @@ def _run_jobs(
     sample: LocationSample,
     chain: Chain,
     backend: ChatBackend,
-    rel_cfg: ReliabilityConfig,
     factor_maps: Mapping[str, FactorMap],
     on_job_end: Callable[[LocationRun], None] | None,
 ) -> list[tuple[PredictionOutput | None, list[str] | str]]:
@@ -239,8 +229,7 @@ def _run_jobs(
     for task, variant in chain:
         try:
             run = predict_location(
-                sample, task, variant, backend, rel_cfg, factor_maps.get(task.id),
-                pairs, prediction,
+                sample, task, variant, backend, factor_maps.get(task.id), pairs, prediction
             )
         except Exception as exc:
             results.append((None, str(exc)))
@@ -258,7 +247,6 @@ def run_predictions(
     tasks: Sequence[TaskSpec],
     variants: Sequence[str],
     backend: ChatBackend,
-    rel_cfg: ReliabilityConfig | None = None,
     factor_maps: Mapping[str, FactorMap] | None = None,
     workers: int = 4,
     on_job_end: Callable[[LocationRun], None] | None = None,
@@ -275,7 +263,6 @@ def run_predictions(
     job's thread, before the transcript is dropped. If it raises, jobs not
     yet started are cancelled and the error propagates.
     """
-    rel_cfg = rel_cfg or ReliabilityConfig()
     factor_maps = factor_maps or {}
     for variant in variants:
         if variant in GUIDED_VARIANTS:
@@ -291,7 +278,7 @@ def run_predictions(
     # A job makes one call at a time, so at most 4 x workers calls are in flight.
     with ThreadPoolExecutor(max_workers=len(PAIRS) * max(1, workers)) as pool:
         futures = [
-            pool.submit(_run_jobs, sample, chain, backend, rel_cfg, factor_maps, on_job_end)
+            pool.submit(_run_jobs, sample, chain, backend, factor_maps, on_job_end)
             for sample, chain in groups
         ]
         try:

@@ -4,10 +4,11 @@ Two independently generated extraction variants are compared field by field.
 Texts are normalized (lowercased, punctuation stripped, whitespace collapsed)
 and scored with a weighted blend of token-set Jaccard overlap (weight 0.4)
 and gestalt sequence matching (weight 0.6). Fields scoring below the 0.72
-stability threshold are regenerated one at a time, for at most
-``max_repair_rounds`` refiner calls each, and a field whose refiner answers
-with the value it was shown as competing is asked no more; everything at or
-above the gate is byte-preserved from variant A.
+stability threshold are regenerated one at a time, for at most 2 refiner
+calls each, and a field whose refiner answers with the value it was shown
+as competing is asked no more; everything at or above the gate is
+byte-preserved from variant A. These four values are the method's
+constants, not settings.
 
 Normalization removes exactly: every character whose Unicode general
 category starts with ``P`` (all punctuation categories), plus the symbols
@@ -24,16 +25,14 @@ exactly without difflib, and equals
 matching is order-dependent, so the operands are evaluated in
 lexicographic order to make the score symmetric.
 
-Operands that normalize to the same string score
-``jaccard_weight + seq_weight`` at once: both parts are exactly 1.0 there,
-and the weights may sum to 1 only within 1e-12.
+Operands that normalize to the same string score exactly 1.0 at once:
+both parts are 1.0 there, and ``0.4 + 0.6 == 1.0`` in IEEE doubles.
 """
 
 from __future__ import annotations
 
 import logging
 import unicodedata
-from dataclasses import dataclass
 from typing import Callable
 
 from .domain import FieldValue, SimilarityReport, UrbanInfoRecord
@@ -41,38 +40,13 @@ from .errors import FieldKeyMismatchError, RefinerError
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_THRESHOLD = 0.72
-DEFAULT_JACCARD_WEIGHT = 0.4
-DEFAULT_SEQ_WEIGHT = 0.6
-DEFAULT_MAX_REPAIR_ROUNDS = 2
+THRESHOLD = 0.72
+JACCARD_WEIGHT = 0.4
+SEQ_WEIGHT = 0.6
+MAX_REPAIR_ROUNDS = 2
 
 # Symbol characters removed alongside Unicode P* during normalization.
 _EXTRA_PUNCTUATION = set("#$+<=>|~")
-
-
-@dataclass(frozen=True)
-class ReliabilityConfig:
-    """Gate threshold, similarity weights and the repair budget."""
-
-    threshold: float = DEFAULT_THRESHOLD
-    jaccard_weight: float = DEFAULT_JACCARD_WEIGHT
-    seq_weight: float = DEFAULT_SEQ_WEIGHT
-    max_repair_rounds: int = DEFAULT_MAX_REPAIR_ROUNDS
-
-    def __post_init__(self) -> None:
-        # Types first, so the range checks compare numbers; the manifest records 1 as 1.0.
-        for key in ("threshold", "jaccard_weight", "seq_weight"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{key}: must be a number, got {value!r}")
-            object.__setattr__(self, key, float(value))
-        rounds = self.max_repair_rounds
-        if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 1:
-            raise ValueError(f"max_repair_rounds: must be an integer >= 1, got {rounds!r}")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError(f"threshold: must be in (0, 1], got {self.threshold!r}")
-        if abs(self.jaccard_weight + self.seq_weight - 1.0) > 1e-12:
-            raise ValueError("jaccard_weight + seq_weight must equal 1.0")
 
 
 class _RemovalTable(dict):
@@ -152,31 +126,25 @@ def seq_ratio(a: str, b: str) -> float:
     return 2.0 * _matched_chars(a, b) / (len(a) + len(b))
 
 
-def soft_sim(a: str, b: str, cfg: ReliabilityConfig | None = None) -> float:
+def soft_sim(a: str, b: str) -> float:
     """Hybrid soft similarity: weighted Jaccard + gestalt ratio over normalized inputs."""
-    cfg = cfg or ReliabilityConfig()
     na, nb = normalize(a), normalize(b)
     if na == nb:
-        return cfg.jaccard_weight + cfg.seq_weight
-    return cfg.jaccard_weight * jaccard(na, nb) + cfg.seq_weight * seq_ratio(na, nb)
+        return 1.0
+    return JACCARD_WEIGHT * jaccard(na, nb) + SEQ_WEIGHT * seq_ratio(na, nb)
 
 
-def evaluate(
-    var_a: UrbanInfoRecord,
-    var_b: UrbanInfoRecord,
-    cfg: ReliabilityConfig | None = None,
-) -> SimilarityReport:
+def evaluate(var_a: UrbanInfoRecord, var_b: UrbanInfoRecord) -> SimilarityReport:
     """Score two variants field by field and flag the conflicting fields."""
-    cfg = cfg or ReliabilityConfig()
     if var_a.field_names != var_b.field_names:
         raise FieldKeyMismatchError(
             f"variant field keys differ: {var_a.field_names} vs {var_b.field_names}"
         )
     per_field = {
-        name: soft_sim(var_a.fields[name].text, var_b.fields[name].text, cfg)
+        name: soft_sim(var_a.fields[name].text, var_b.fields[name].text)
         for name in var_a.field_names
     }
-    return SimilarityReport(per_field, cfg.threshold)
+    return SimilarityReport(per_field, THRESHOLD)
 
 
 RefineFn = Callable[[str, str, str], str]
@@ -187,13 +155,12 @@ def reconcile(
     var_b: UrbanInfoRecord,
     report: SimilarityReport,
     refine_fn: RefineFn,
-    cfg: ReliabilityConfig | None = None,
 ) -> UrbanInfoRecord:
     """Settle variant A into a reliable record, repairing only conflicts.
 
     Each field that ``report`` flags as conflicting is regenerated through
     ``refine_fn(field_name, value_a, value_b)`` and re-scored against
-    variant A's value, up to ``cfg.max_repair_rounds`` times; later rounds
+    variant A's value, up to ``MAX_REPAIR_ROUNDS`` times; later rounds
     pass the previous refinement as the competing value. A refinement equal
     to the competing value ends the field's loop: the next round would ask
     the same again, so the field keeps that text and the score already held
@@ -203,7 +170,6 @@ def reconcile(
     settles as ``low_confidence``; with no conflicting fields it settles as
     ``stable``. Non-conflicting fields are byte-preserved from variant A.
     """
-    cfg = cfg or ReliabilityConfig()
     fields: dict[str, FieldValue] = {}
     unresolved = 0
     for name, value in var_a.fields.items():
@@ -221,7 +187,7 @@ def reconcile(
         score = report.per_field[name]
         rounds = 0
         resolved = False
-        while rounds < cfg.max_repair_rounds:
+        while rounds < MAX_REPAIR_ROUNDS:
             rounds += 1
             try:
                 refined = refine_fn(name, value.text, competing)
@@ -231,8 +197,8 @@ def reconcile(
                 # The next round would send this round's request again, and
                 # ``score`` already holds this text's score.
                 break
-            score = soft_sim(refined, value.text, cfg)
-            if score >= cfg.threshold:
+            score = soft_sim(refined, value.text)
+            if score >= THRESHOLD:
                 resolved = True
                 break
             competing = refined

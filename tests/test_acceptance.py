@@ -27,7 +27,6 @@ from urbanmas.evaluation import (
 from urbanmas.guidance import GENERIC_FACTORS, guide
 from urbanmas.pipeline import predict_location, run_predictions
 from urbanmas.reliability import (
-    ReliabilityConfig,
     evaluate,
     reconcile,
     seq_ratio,
@@ -96,7 +95,6 @@ class TestCriterion2GestaltSpotValue:
 
 class TestCriterion3GateBehavior:
     def test_k_corruptions_flag_and_repair_exactly_k_fields(self):
-        cfg = ReliabilityConfig(threshold=0.72)
         base = {name: f"moderate {name} observed around this location" for name in FACTOR_NAMES}
         for k in (0, 1, 2, 3, 6):
             corrupted = set(FACTOR_NAMES[:k])
@@ -110,13 +108,11 @@ class TestCriterion3GateBehavior:
             }
             var_a = make_record(base, "variant_a")
             var_b = make_record(values_b, "variant_b")
-            report = evaluate(var_a, var_b, cfg)
+            report = evaluate(var_a, var_b)
             assert report.conflicting == corrupted
 
             calls: list[str] = []
-            record = reconcile(
-                var_a, var_b, report, lambda name, a, b: calls.append(name) or a, cfg
-            )
+            record = reconcile(var_a, var_b, report, lambda name, a, b: calls.append(name) or a)
             assert len(calls) == k, f"expected exactly {k} round-one refiner calls"
             assert set(calls) == corrupted
             assert record.status == ("stable" if k == 0 else "refined")

@@ -172,6 +172,12 @@ class TestCassette:
         assert CassetteBackend(path).complete(req()).text == "recorded"
         assert CassetteBackend(path, MockBackend()).complete(req()).text == "recorded"
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "cassette.jsonl"
+        line = json.dumps({"fingerprint": fingerprint(req()), "response": {"text": "recorded"}})
+        path.write_text("\n" + line + "\n\n")
+        assert CassetteBackend(path).complete(req()).text == "recorded"
+
     def test_recordings_through_a_slow_and_a_fast_endpoint_are_byte_identical(self, tmp_path):
         requests = [req(user_prompt=f"p{i}", variant_seed=i % 2) for i in range(4)]
         recordings = []

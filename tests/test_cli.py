@@ -30,6 +30,21 @@ def run_cli(*args: str) -> int:
     return main(list(args))
 
 
+_ONE_PREDICTION = json.dumps(
+    {"location_id": "tokyo_tower", "task_id": "running_amount", "variant": "full",
+     "value": 7.2, "clamped": False}
+) + "\n"
+
+
+def _duplicate_first_factor_name(cache_text: str) -> str:
+    """A hand edit of a factor cache that keeps its prompt digest: the
+    first set repeats a name."""
+    doc = json.loads(cache_text)
+    factors = doc["pairs"][0]["factors"]
+    factors[1]["name"] = factors[0]["name"]
+    return json.dumps(doc)
+
+
 def _tree_bytes(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -79,21 +94,24 @@ class TestRunConfig:
         cfg = load_config(config, {})
         assert cfg.resolve_tasks()[0].output_key == "walk_score"
 
-    def test_reliability_block_is_parsed(self, tmp_path):
+    def test_a_reliability_section_is_an_unknown_key(self, tmp_path, capsys):
+        # The gate's parameters are the method's constants, not settings.
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"reliability": {"threshold": 0.9}}))
-        assert load_config(config, {}).reliability.threshold == 0.9
+        config.write_text(json.dumps({"reliability": {"threshold": 0.72}}))
+        assert run_cli("factors", "--config", str(config), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"error: {config}: unknown keys: ['reliability']" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ({"reliability": {"treshold": 0.5}}, "reliability: unknown keys: ['treshold']"),
             (
                 {"custom_tasks": [{"id": "w", "description": "d", "output_key": "w", "colour": 1}]},
                 "custom_tasks: unknown keys: ['colour']",
             ),
         ],
-        ids=["reliability", "custom-task"],
+        ids=["custom-task"],
     )
     def test_unknown_nested_keys_are_rejected(self, tmp_path, doc, message):
         config = tmp_path / "run.json"
@@ -106,8 +124,6 @@ class TestRunConfig:
         [
             ({"custom_tasks": [{"id": "walk_score", "output_key": "walk_score"}]}, "custom_tasks"),
             ({"workers": "two"}, "workers"),
-            ({"reliability": {"threshold": "high"}}, "reliability"),
-            ({"reliability": {"threshold": 0}}, "reliability"),
             ({"variants": 5}, "variants"),
             ({"backend": "quantum"}, "backend"),
             ({"record_source": "tape"}, "record_source"),
@@ -115,21 +131,12 @@ class TestRunConfig:
             ({"poi_radius_m": "far"}, "poi_radius_m"),
             ({"poi_limit": 0}, "poi_limit"),
             ({"requests_per_minute": "fast"}, "requests_per_minute"),
-            ({"reliability": {"threshold": "high"}}, "reliability: threshold"),
-            ({"reliability": {"threshold": True}}, "reliability: threshold"),
-            ({"reliability": {"jaccard_weight": None}}, "reliability: jaccard_weight"),
-            ({"reliability": {"seq_weight": "0.6"}}, "reliability: seq_weight"),
-            ({"reliability": {"max_repair_rounds": 2.7}}, "reliability: max_repair_rounds"),
-            ({"reliability": {"max_repair_rounds": False}}, "reliability: max_repair_rounds"),
             ({"tasks": [["running_amount"]]}, "tasks"),
         ],
         ids=[
-            "task-without-description", "workers-not-a-number", "threshold-not-a-number",
-            "threshold-zero", "variants-not-a-list", "backend-unknown", "record-source-unknown",
-            "replay-without-cassette", "radius-not-a-number", "poi-limit-zero",
-            "rate-not-a-number", "threshold-names-its-field", "threshold-bool",
-            "jaccard-weight-null", "seq-weight-string", "repair-rounds-fractional",
-            "repair-rounds-bool", "task-id-not-a-string",
+            "task-without-description", "workers-not-a-number", "variants-not-a-list",
+            "backend-unknown", "record-source-unknown", "replay-without-cassette",
+            "radius-not-a-number", "poi-limit-zero", "rate-not-a-number", "task-id-not-a-string",
         ],
     )
     def test_malformed_config_value_is_a_labelled_usage_error(self, tmp_path, capsys, doc, key):
@@ -261,13 +268,18 @@ class TestFactorsCommand:
         ) == 0
         assert len(calls) == 1
 
-    def test_bad_task_id_is_a_usage_error(self, workspace, capsys):
+    @pytest.mark.parametrize(
+        "tasks, message",
+        [("nonsense", "unknown task id"), (",", "no tasks selected")],
+        ids=["unknown-id", "no-ids"],
+    )
+    def test_bad_task_id_is_a_usage_error(self, workspace, capsys, tasks, message):
         code = run_cli(
-            "factors", "--backend", "mock", "--tasks", "nonsense",
+            "factors", "--backend", "mock", "--tasks", tasks,
             "--out", str(workspace / "out"),
         )
         assert code == 2
-        assert "unknown task id" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (workspace / "out" / "manifest.json").exists()
 
     def test_a_repeated_task_id_prints_one_set(self, workspace, capsys):
@@ -371,12 +383,23 @@ class TestIngestCommand:
         assert run_cli(*args) == 0
         assert _tree_bytes(cache) == {**entries, "notes.tmp": b"kept"}
 
-    def test_empty_dataset_is_an_error(self, workspace, capsys):
-        empty = workspace / "empty.jsonl"
-        empty.write_text("")
-        code = run_cli("ingest", "--dataset", str(empty), "--out", str(workspace / "out"))
-        assert code == 2
-        assert "no samples" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command, dataset, message",
+        [
+            ("ingest", "empty.jsonl", "no samples"),
+            ("predict", None, "error: --dataset is required for this command"),
+        ],
+        ids=["ingest-empty-file", "predict-without-dataset"],
+    )
+    def test_empty_dataset_is_an_error(self, workspace, capsys, command, dataset, message):
+        argv = [command, "--out", str(workspace / "out")]
+        if dataset is not None:
+            (workspace / dataset).write_text("")
+            argv += ["--dataset", str(workspace / dataset)]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestPredictCommand:
@@ -493,10 +516,20 @@ class TestPredictCommand:
         assert code == 2
         assert "urbanmas factors" in capsys.readouterr().err
 
-    def test_corrupt_factor_cache_is_a_labelled_usage_error(self, workspace, capsys):
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda doc: doc[:200], "cannot read factor cache {cache}"),
+            (_duplicate_first_factor_name, "factor cache {cache} invalid for social_macro"),
+        ],
+        ids=["truncated", "duplicate-factor-name"],
+    )
+    def test_corrupt_factor_cache_is_a_labelled_usage_error(
+        self, workspace, capsys, corrupt, message
+    ):
         self._factors(workspace)
         cache = workspace / "factors" / "factors_running_amount.json"
-        cache.write_bytes(cache.read_bytes()[:200])
+        cache.write_text(corrupt(cache.read_text()))
         code = run_cli(
             "predict", "--backend", "mock",
             "--dataset", str(workspace / "samples.jsonl"),
@@ -506,7 +539,7 @@ class TestPredictCommand:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert f"error: cannot read factor cache {cache}" in err
+        assert "error: " + message.format(cache=cache) in err
         assert "Traceback" not in err
 
     def test_variant_accounting_no_reliability(self, workspace):
@@ -564,11 +597,28 @@ class TestEvaluateCommand:
         assert "rescale" in capsys.readouterr().err
         assert run_cli(*base, "--rescale-truth") == 0
 
-    def test_missing_predictions_file(self, workspace, capsys):
-        code = run_cli("evaluate", "--dataset", str(workspace / "samples.jsonl"),
-                       "--out", str(workspace / "nowhere"))
+    @pytest.mark.parametrize(
+        "predictions, dataset, message",
+        [
+            (None, "samples.jsonl", "predictions file not found"),
+            ("", "samples.jsonl", "no predictions in "),
+            (_ONE_PREDICTION, "no_truth.jsonl", "no ground truth available"),
+        ],
+        ids=["predictions-missing", "predictions-empty", "no-truth-anywhere"],
+    )
+    def test_missing_predictions_file(self, workspace, capsys, predictions, dataset, message):
+        out = workspace / "out"
+        if predictions is not None:
+            out.mkdir()
+            (out / "predictions.jsonl").write_text(predictions)
+        (workspace / "no_truth.jsonl").write_text(
+            json.dumps({"id": "tokyo_tower", "lat": 35.6586, "lon": 139.7454}) + "\n"
+        )
+        code = run_cli("evaluate", "--dataset", str(workspace / dataset), "--out", str(out))
         assert code == 2
-        assert "predictions file not found" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
 
     def test_reports_match_hand_computed_metrics(self, workspace, capsys):
         # Fixture truths: tokyo 6.2, milan 4.1, seattle 5.5.

@@ -16,7 +16,6 @@ from urbanmas.extraction import (
     location_context,
 )
 from urbanmas.inference import infer_single_llm
-from urbanmas.reliability import ReliabilityConfig
 
 from conftest import DEEP_JSON, FACTOR_NAMES, make_factor_set, scripted_extraction_backend
 
@@ -34,9 +33,7 @@ def _variants(sample, fs, backend):
 
 
 def _pair(sample, fs, backend, reliability_enabled=True):
-    return extract_pair(
-        sample, fs, backend, ReliabilityConfig(), location_context(sample), reliability_enabled
-    )
+    return extract_pair(sample, fs, backend, location_context(sample), reliability_enabled)
 
 
 class TestBuildPrompt:

@@ -119,12 +119,18 @@ class TestSummarize:
         fs = summarize(_report(task), task, backend)
         assert len(fs.factors) == 6
 
-    def test_factors_that_are_not_a_list_are_fed_back(self, task):
+    @pytest.mark.parametrize(
+        "answer, problem",
+        [
+            (json.dumps({"factors": "six factors"}), '"factors" is not a list'),
+            (_factors_json(6).replace("factor 0", "factor\\n0"), "factor name contains a line break"),
+        ],
+        ids=["not-a-list", "name-with-line-break"],
+    )
+    def test_factors_that_are_not_a_list_are_fed_back(self, task, answer, problem):
         backend = MockBackend()
-        backend.add_rule(
-            lambda r: '"factors" is not a list' in r.user_prompt, _factors_json(6)
-        )
-        backend.add_rule(lambda r: True, json.dumps({"factors": "six factors"}))
+        backend.add_rule(lambda r: problem in r.user_prompt, _factors_json(6))
+        backend.add_rule(lambda r: True, answer)
         fs = summarize(_report(task), task, backend)
         assert len(fs.factors) == 6
         assert backend.call_count == 2

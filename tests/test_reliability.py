@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from urbanmas import reliability
 from urbanmas.errors import FieldKeyMismatchError, RefinerError
+from urbanmas.domain import SimilarityReport
 from urbanmas.reliability import (
-    ReliabilityConfig,
+    MAX_REPAIR_ROUNDS,
+    THRESHOLD,
     evaluate,
     jaccard,
     normalize,
@@ -166,39 +168,17 @@ class TestSoftSim:
 
     def test_bounds_and_symmetry_on_random_strings(self):
         rng = random.Random(19)
-        cfg = ReliabilityConfig()
         for _ in range(300):
             a, b = _random_text(rng), _random_text(rng)
-            score = soft_sim(a, b, cfg)
+            score = soft_sim(a, b)
             assert 0.0 <= score <= 1.0
-            assert score == pytest.approx(soft_sim(b, a, cfg), abs=1e-12)
-
-    def test_custom_weights(self):
-        cfg = ReliabilityConfig(jaccard_weight=1.0, seq_weight=0.0)
-        assert soft_sim("a b", "b c", cfg) == pytest.approx(1 / 3)
+            assert score == pytest.approx(soft_sim(b, a), abs=1e-12)
 
     @given(_UNICODE_TEXT)
-    def test_equal_operands_score_the_weight_sum(self, text):
-        # The weights sum to 1 only within the accepted 1e-12, so a score
-        # of exactly 1.0 would change the bytes of every equal-field score.
-        cfg = ReliabilityConfig(jaccard_weight=0.4, seq_weight=0.6 + 1e-13)
-        assert cfg.jaccard_weight + cfg.seq_weight != 1.0
-        assert soft_sim(text, text, cfg) == cfg.jaccard_weight + cfg.seq_weight
-        assert soft_sim(text, normalize(text), cfg) == cfg.jaccard_weight + cfg.seq_weight
-
-
-class TestReliabilityConfig:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            ReliabilityConfig(jaccard_weight=0.5, seq_weight=0.6)
-
-    def test_threshold_range(self):
-        with pytest.raises(ValueError):
-            ReliabilityConfig(threshold=0.0)
-
-    def test_repair_rounds_minimum(self):
-        with pytest.raises(ValueError):
-            ReliabilityConfig(max_repair_rounds=0)
+    def test_equal_operands_score_exactly_one(self, text):
+        # 0.4 + 0.6 is exactly 1.0 in doubles, so the shortcut keeps the bytes.
+        assert soft_sim(text, text) == 1.0
+        assert soft_sim(text, normalize(text)) == 1.0
 
 
 def _variant_pair(corrupt: tuple[str, ...] = ()):
@@ -233,9 +213,10 @@ class TestEvaluate:
         for _ in range(100):
             scores = {f"f{i}": rng.random() for i in range(6)}
             low, high = sorted((rng.random(), rng.random()))
-            low_cfg = frozenset(n for n, s in scores.items() if s < low)
-            high_cfg = frozenset(n for n, s in scores.items() if s < high)
-            assert low_cfg <= high_cfg
+            assert (
+                SimilarityReport(scores, low).conflicting
+                <= SimilarityReport(scores, high).conflicting
+            )
 
 
 class TestReconcile:
@@ -290,19 +271,18 @@ class TestReconcile:
         target = FACTOR_NAMES[0]
         var_a, var_b = _variant_pair(corrupt=(target,))
         report = evaluate(var_a, var_b)
-        cfg = ReliabilityConfig(max_repair_rounds=2)
         calls = []
 
         def hopeless(name, value_a, value_b):
             calls.append(name)
             return f"still totally different nonsense {len(calls)}"
 
-        record = reconcile(var_a, var_b, report, hopeless, cfg)
+        record = reconcile(var_a, var_b, report, hopeless)
         assert record.status == "low_confidence"
-        assert len(calls) == cfg.max_repair_rounds
+        assert len(calls) == MAX_REPAIR_ROUNDS
         field = record.fields[target]
-        assert field.repair_rounds == cfg.max_repair_rounds
-        assert field.similarity < cfg.threshold
+        assert field.repair_rounds == MAX_REPAIR_ROUNDS
+        assert field.similarity < THRESHOLD
         assert field.text == f"still totally different nonsense {len(calls)}"
 
     def test_second_round_sees_previous_refinement_as_competitor(self):
@@ -348,18 +328,19 @@ class TestReconcile:
         assert field.text == var_b.fields[target].text
         assert field.similarity == report.per_field[target]
 
-    def test_a_repeated_refinement_ends_the_repair_loop(self):
+    def test_a_repeated_refinement_ends_the_repair_loop(self, monkeypatch):
         target = FACTOR_NAMES[4]
         var_a, var_b = _variant_pair(corrupt=(target,))
         report = evaluate(var_a, var_b)
-        cfg = ReliabilityConfig(max_repair_rounds=3)
+        # Above the budget of 2, so that only the repeated answer can end the loop early.
+        monkeypatch.setattr(reliability, "MAX_REPAIR_ROUNDS", 3)
         seen = []
 
         def stubborn(name, value_a, value_b):
             seen.append(value_b)
             return "X"
 
-        record = reconcile(var_a, var_b, report, stubborn, cfg)
+        record = reconcile(var_a, var_b, report, stubborn)
         assert seen == [var_b.fields[target].text, "X"]
         field = record.fields[target]
         assert field.repair_rounds == 2
