@@ -1,6 +1,8 @@
+import math
 import random
 import string
 from difflib import SequenceMatcher
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +12,9 @@ from urbanmas import reliability
 from urbanmas.errors import FieldKeyMismatchError, RefinerError
 from urbanmas.domain import SimilarityReport
 from urbanmas.reliability import (
+    JACCARD_WEIGHT,
     MAX_REPAIR_ROUNDS,
+    SEQ_WEIGHT,
     THRESHOLD,
     evaluate,
     jaccard,
@@ -48,6 +52,32 @@ def _difflib_ratio(a: str, b: str) -> float:
     """The reference gestalt ratio: difflib, operands in lexicographic order."""
     a, b = sorted((a, b))
     return SequenceMatcher(None, a, b, autojunk=False).ratio()
+
+
+class TestConstants:
+    def test_weights_sum_to_exactly_one(self):
+        # The equal-operand shortcut in soft_sim returns 1.0 on this identity.
+        assert 0.0 < JACCARD_WEIGHT < 1.0
+        assert 0.0 < SEQ_WEIGHT < 1.0
+        assert JACCARD_WEIGHT + SEQ_WEIGHT == 1.0
+
+    def test_threshold_lies_inside_the_unit_interval(self):
+        assert 0.0 < THRESHOLD <= 1.0
+
+    def test_repair_budget_allows_at_least_one_round(self):
+        assert type(MAX_REPAIR_ROUNDS) is int
+        assert MAX_REPAIR_ROUNDS >= 1
+
+    def test_readme_and_module_docstring_state_the_constants(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert f"{JACCARD_WEIGHT} * Jaccard + {SEQ_WEIGHT} * gestalt" in readme
+        assert f"gate at a {THRESHOLD} stability threshold" in readme
+        assert f"repair budget is {MAX_REPAIR_ROUNDS} refiner calls" in readme
+        doc = " ".join(reliability.__doc__.split())
+        assert f"(weight {JACCARD_WEIGHT})" in doc
+        assert f"(weight {SEQ_WEIGHT})" in doc
+        assert f"below the {THRESHOLD} stability threshold" in doc
+        assert f"for at most {MAX_REPAIR_ROUNDS} refiner calls" in doc
 
 
 class TestNormalize:
@@ -174,6 +204,18 @@ class TestSoftSim:
             assert 0.0 <= score <= 1.0
             assert score == pytest.approx(soft_sim(b, a), abs=1e-12)
 
+    def test_blend_reads_the_module_weights(self, monkeypatch):
+        a, b = "quiet street", "quiet streets"
+        j, r = jaccard(a, b), seq_ratio(a, b)
+        assert j < r
+        assert soft_sim(a, b) == JACCARD_WEIGHT * j + SEQ_WEIGHT * r
+        monkeypatch.setattr(reliability, "JACCARD_WEIGHT", 1.0)
+        monkeypatch.setattr(reliability, "SEQ_WEIGHT", 0.0)
+        assert soft_sim(a, b) == j
+        monkeypatch.setattr(reliability, "JACCARD_WEIGHT", 0.0)
+        monkeypatch.setattr(reliability, "SEQ_WEIGHT", 1.0)
+        assert soft_sim(a, b) == r
+
     @given(_UNICODE_TEXT)
     def test_equal_operands_score_exactly_one(self, text):
         # 0.4 + 0.6 is exactly 1.0 in doubles, so the shortcut keeps the bytes.
@@ -207,6 +249,16 @@ class TestEvaluate:
         other = make_record({"different": "x"}, "variant_b")
         with pytest.raises(FieldKeyMismatchError):
             evaluate(var_a, other)
+
+    def test_a_field_at_the_threshold_passes_and_one_just_below_conflicts(self, monkeypatch):
+        var_a, var_b = _variant_pair()
+        below = math.nextafter(THRESHOLD, 0.0)
+        scores = {var_a.fields[name].text: THRESHOLD for name in FACTOR_NAMES}
+        scores[var_a.fields[FACTOR_NAMES[1]].text] = below
+        monkeypatch.setattr(reliability, "soft_sim", lambda a, b: scores[a])
+        report = evaluate(var_a, var_b)
+        assert report.threshold == THRESHOLD
+        assert report.conflicting == {FACTOR_NAMES[1]}
 
     def test_gate_monotonicity_in_threshold(self):
         rng = random.Random(23)
@@ -266,6 +318,18 @@ class TestReconcile:
             record = reconcile(var_a, var_b, report, lambda n, a, b: calls.append(n) or a)
             assert len(calls) == k
             assert record.status == "refined"
+
+    def test_a_refinement_scoring_exactly_the_threshold_is_resolved(self, monkeypatch):
+        target = FACTOR_NAMES[0]
+        var_a, var_b = _variant_pair(corrupt=(target,))
+        report = evaluate(var_a, var_b)
+        monkeypatch.setattr(reliability, "soft_sim", lambda a, b: THRESHOLD)
+        record = reconcile(var_a, var_b, report, lambda n, a, b: "a new middle ground")
+        assert record.status == "refined"
+        field = record.fields[target]
+        assert field.repair_rounds == 1
+        assert field.similarity == THRESHOLD
+        assert field.text == "a new middle ground"
 
     def test_hopeless_refiner_exhausts_rounds_to_low_confidence(self):
         target = FACTOR_NAMES[0]
