@@ -250,9 +250,9 @@ def cmd_factors(cfg: RunConfig) -> int:
     for task in tasks:
         source = "cache" if task.id in cached else cfg.backend
         print(f"task={task.id} (from {source})")
-        for d, r in PAIRS:
-            fs = factor_maps[task.id][(d, r)]
-            print(f"  [{d.value}, {r.value}]")
+        for pair in PAIRS:
+            fs = factor_maps[task.id][pair]
+            print(f"  [{pair.dimension.value}, {pair.level.value}]")
             for i, factor in enumerate(fs.factors, 1):
                 print(f"    {i}. {factor.name}: {factor.description}")
     return 0

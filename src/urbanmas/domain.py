@@ -1,10 +1,11 @@
 """Shared vocabulary types for the prediction pipeline.
 
-Tasks, dimensions, levels, locations, factor sets, extraction records and
-predictions live here. Everything is immutable after construction and safe
-to share across worker threads. The only operation beyond invariant
-validation is :func:`validate_factor_set`, which never raises so callers
-can feed model output through it and collect violations.
+Tasks, dimensions, levels and their pairs, locations, factor sets,
+extraction records and predictions live here. Everything is immutable
+after construction and safe to share across worker threads. The only
+operation beyond invariant validation is :func:`validate_factor_set`, which
+never raises so callers can feed model output through it and collect
+violations.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 OUTPUT_SCALE = (0.0, 10.0)
 FACTORS_PER_SET = 6
@@ -39,25 +40,26 @@ class Level(Enum):
     STREET = "street"
 
 
-# Canonical (dimension, level) order used everywhere a sequence of the four
-# pairs is rendered: social-macro, social-street, environment-macro,
-# environment-street.
-PAIRS: tuple[tuple[Dimension, Level], ...] = (
-    (Dimension.SOCIAL, Level.MACRO),
-    (Dimension.SOCIAL, Level.STREET),
-    (Dimension.BUILT_ENVIRONMENTAL, Level.MACRO),
-    (Dimension.BUILT_ENVIRONMENTAL, Level.STREET),
+class Pair(NamedTuple):
+    """One (dimension, level) pair: the scope of one guidance and one
+    extraction agent. It unpacks, compares and hashes as the plain
+    ``(dimension, level)`` tuple."""
+
+    dimension: Dimension
+    level: Level
+
+    @property
+    def label(self) -> str:
+        """Stable short label, e.g. ``social_macro``."""
+        return _LABELS[self]
+
+
+# The four pairs in the order used everywhere they are rendered:
+# social-macro, social-street, environment-macro, environment-street.
+PAIRS: tuple[Pair, ...] = tuple(Pair(d, r) for d in Dimension for r in Level)
+_LABELS = dict(
+    zip(PAIRS, ("social_macro", "social_street", "environment_macro", "environment_street"))
 )
-
-_DIMENSION_SHORT = {
-    Dimension.SOCIAL: "social",
-    Dimension.BUILT_ENVIRONMENTAL: "environment",
-}
-
-
-def pair_label(dimension: Dimension, level: Level) -> str:
-    """Stable short label for a (dimension, level) pair, e.g. ``social_macro``."""
-    return f"{_DIMENSION_SHORT[dimension]}_{level.value}"
 
 
 @dataclass(frozen=True)
@@ -324,11 +326,10 @@ class PredictiveFactor:
 
 @dataclass(frozen=True)
 class FactorSet:
-    """The predictive factors guiding extraction for one (dimension, level) pair."""
+    """The predictive factors guiding extraction for one pair."""
 
     task_id: str
-    dimension: Dimension
-    level: Level
+    pair: Pair
     factors: tuple[PredictiveFactor, ...]
 
     def __post_init__(self) -> None:
@@ -398,7 +399,7 @@ class FieldValue:
 
 @dataclass(frozen=True)
 class UrbanInfoRecord:
-    """Structured extraction output for one location under one (d, r) pair.
+    """Structured extraction output for one location under one pair.
 
     ``fields`` is an ordered mapping whose keys must equal the six factor
     names of the governing factor set, in the same order. Raw records come
@@ -408,8 +409,7 @@ class UrbanInfoRecord:
 
     location_id: str
     task_id: str
-    dimension: Dimension
-    level: Level
+    pair: Pair
     fields: Mapping[str, FieldValue]
     status: str = "raw"
 
@@ -433,8 +433,8 @@ class UrbanInfoRecord:
         return {
             "location_id": self.location_id,
             "task_id": self.task_id,
-            "dimension": self.dimension.value,
-            "level": self.level.value,
+            "dimension": self.pair.dimension.value,
+            "level": self.pair.level.value,
             "status": self.status,
             "fields": {name: value.to_dict() for name, value in self.fields.items()},
         }

@@ -1,10 +1,10 @@
 """Per-location urban-information extraction aligned to the guided factors.
 
-For each of the four (dimension, level) pairs an extractor prompt is built
-from the location context and the pair's factor set, two variants are
-requested (variant seeds 0 and 1), and the reliability layer settles them
-into one record, regenerating only conflicting fields through a
-field-targeted refiner call.
+For each of the four pairs (:class:`~urbanmas.domain.Pair`) an extractor
+prompt is built from the location context and the pair's factor set, two
+variants are requested (variant seeds 0 and 1), and the reliability layer
+settles them into one record, regenerating only conflicting fields through
+a field-targeted refiner call.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .domain import (
     Level,
     LocationSample,
     PAIRS,
+    Pair,
     SimilarityReport,
     UrbanInfoRecord,
-    pair_label,
 )
 from .errors import ExtractionError, ExtractionParseError
 from .reliability import evaluate, reconcile
@@ -43,7 +43,7 @@ _DIMENSION_WORDING = {
 
 @dataclass(frozen=True)
 class ExtractionPrompt:
-    """Rendered extractor prompt for one (location, dimension, level)."""
+    """Rendered extractor prompt for one (location, pair)."""
 
     system: str
     user: str
@@ -78,7 +78,7 @@ def build_prompt(sample: LocationSample, fs: FactorSet, context: str) -> Extract
     """
     system = (
         f"You are an urban information extraction agent focused on the "
-        f"{_DIMENSION_WORDING[fs.dimension]} dimension at the {fs.level.value} level. "
+        f"{_DIMENSION_WORDING[fs.pair.dimension]} dimension at the {fs.pair.level.value} level. "
         "Extract concise, factual urban information for the requested factors."
     )
     keys = json.dumps(list(fs.factor_names))
@@ -92,7 +92,7 @@ def build_prompt(sample: LocationSample, fs: FactorSet, context: str) -> Extract
         f"Each value must be a short factual description (at most "
         f"{MAX_FIELD_CHARS} characters) of that factor at this location."
     )
-    image_refs = sample.streetview_refs if fs.level is Level.STREET else ()
+    image_refs = sample.streetview_refs if fs.pair.level is Level.STREET else ()
     return ExtractionPrompt(system=system, user=user, image_refs=tuple(image_refs))
 
 
@@ -119,7 +119,7 @@ def _request_variant(
     seed: int,
 ) -> dict[str, str]:
     """One extractor call plus at most one re-ask for unusable output."""
-    agent = pair_label(fs.dimension, fs.level)
+    agent = fs.pair.label
     problem = ""
     for attempt in range(2):
         user = prompt.user
@@ -164,8 +164,7 @@ def _record(
     return UrbanInfoRecord(
         location_id=sample.id,
         task_id=fs.task_id,
-        dimension=fs.dimension,
-        level=fs.level,
+        pair=fs.pair,
         fields=fields,
         status="raw",
     )
@@ -211,7 +210,7 @@ def _refine_fn(context: str, fs: FactorSet, backend: ChatBackend):
 
 @dataclass(frozen=True)
 class PairExtraction:
-    """Everything produced for one (dimension, level) pair, for the audit trail."""
+    """Everything produced for one pair, for the audit trail."""
 
     prompt: ExtractionPrompt
     variant_a: UrbanInfoRecord
@@ -256,7 +255,7 @@ def extract_pair(
     context: str,
     reliability_enabled: bool = True,
 ) -> PairExtraction:
-    """Run one (dimension, level) extraction chain end to end.
+    """Run one pair's extraction chain end to end.
 
     ``context`` is the sample's ``location_context``, rendered once per job
     by ``extract_reliable``. Without reliability (the no_reliability
@@ -280,17 +279,17 @@ def extract_pair(
 
 def extract_reliable(
     sample: LocationSample,
-    factor_map: Mapping[tuple[Dimension, Level], FactorSet],
+    factor_map: Mapping[Pair, FactorSet],
     backend: ChatBackend,
     reliability_enabled: bool = True,
-) -> dict[tuple[Dimension, Level], PairExtraction]:
+) -> dict[Pair, PairExtraction]:
     """Run the four extraction chains for one location, in turn, in the caller's thread.
 
-    Returns the four settled pair results keyed by (dimension, level).
+    Returns the four settled pair results keyed by pair.
     The first failure stops the job: it is re-raised labeled with the
     failing pair, and the later pairs are never requested.
     """
-    missing = [pair_label(d, r) for d, r in PAIRS if (d, r) not in factor_map]
+    missing = [pair.label for pair in PAIRS if pair not in factor_map]
     if missing:
         raise ExtractionError(f"factor map is missing pairs: {missing}")
     context = location_context(sample)
@@ -301,5 +300,5 @@ def extract_reliable(
                 sample, factor_map[pair], backend, context, reliability_enabled
             )
         except Exception as exc:
-            raise ExtractionError(f"{pair_label(*pair)}: {exc}") from exc
+            raise ExtractionError(f"{pair.label}: {exc}") from exc
     return results

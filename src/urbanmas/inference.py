@@ -15,15 +15,13 @@ from typing import Iterable
 
 from .backend import ChatBackend, ChatRequest
 from .domain import (
-    Dimension,
-    Level,
     LocationSample,
     OUTPUT_SCALE,
     PAIRS,
+    Pair,
     PredictionOutput,
     TaskSpec,
     UrbanInfoRecord,
-    pair_label,
 )
 from .errors import MissingRecordsError, SchemaFailureError
 from .extraction import location_context
@@ -41,23 +39,20 @@ _SYSTEM = (
 )
 
 
-def _ordered_records(
-    records: Iterable[UrbanInfoRecord],
-) -> dict[tuple[Dimension, Level], UrbanInfoRecord]:
-    by_pair: dict[tuple[Dimension, Level], UrbanInfoRecord] = {}
+def _ordered_records(records: Iterable[UrbanInfoRecord]) -> dict[Pair, UrbanInfoRecord]:
+    by_pair: dict[Pair, UrbanInfoRecord] = {}
     for record in records:
-        pair = (record.dimension, record.level)
-        if pair in by_pair:
-            raise MissingRecordsError(f"duplicate record for {pair_label(*pair)}")
-        by_pair[pair] = record
-    missing = [pair_label(d, r) for d, r in PAIRS if (d, r) not in by_pair]
+        if record.pair in by_pair:
+            raise MissingRecordsError(f"duplicate record for {record.pair.label}")
+        by_pair[record.pair] = record
+    missing = [pair.label for pair in PAIRS if pair not in by_pair]
     if missing:
         raise MissingRecordsError(f"records missing for pairs: {missing}")
     return {pair: by_pair[pair] for pair in PAIRS}
 
 
 def _render_record(record: UrbanInfoRecord) -> str:
-    lines = [f"[{pair_label(record.dimension, record.level).replace('_', ', ')}]"]
+    lines = [f"[{record.pair.label.replace('_', ', ')}]"]
     for name, value in record.fields.items():
         marker = ""
         if (

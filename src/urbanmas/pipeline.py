@@ -30,14 +30,12 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .backend import ChatBackend
 from .domain import (
-    Dimension,
-    Level,
     LocationSample,
     PAIRS,
+    Pair,
     PredictionOutput,
     TaskSpec,
     load_json,
-    pair_label,
     write_text_atomic,
 )
 from .errors import ConfigError
@@ -56,7 +54,7 @@ class LocationRun:
     """Outcome of one (location, task, variant) job."""
 
     prediction: PredictionOutput
-    pairs: Mapping[tuple[Dimension, Level], PairExtraction] | None = None
+    pairs: Mapping[Pair, PairExtraction] | None = None
 
     def audit_doc(self) -> dict:
         doc: dict = {
@@ -65,9 +63,7 @@ class LocationRun:
             "variant": self.prediction.variant,
         }
         if self.pairs is not None:
-            doc["pairs"] = {
-                pair_label(d, r): self.pairs[(d, r)].to_dict() for d, r in PAIRS
-            }
+            doc["pairs"] = {pair.label: self.pairs[pair].to_dict() for pair in PAIRS}
         doc["prediction"] = self.prediction.to_dict()
         return doc
 
@@ -77,8 +73,8 @@ class LocationRun:
             return []
         pred = self.prediction
         docs = []
-        for d, r in PAIRS:
-            pe = self.pairs[(d, r)]
+        for pair in PAIRS:
+            pe = self.pairs[pair]
             if pe.report is None:
                 continue
             docs.append(
@@ -86,7 +82,7 @@ class LocationRun:
                     "location_id": pred.location_id,
                     "task_id": pred.task_id,
                     "variant": pred.variant,
-                    "pair": pair_label(d, r),
+                    "pair": pair.label,
                     "status": pe.record.status,
                     "report": pe.report.to_dict(),
                 }
@@ -100,7 +96,7 @@ def predict_location(
     variant: str,
     backend: ChatBackend,
     factor_map: FactorMap | None = None,
-    pairs: Mapping[tuple[Dimension, Level], PairExtraction] | None = None,
+    pairs: Mapping[Pair, PairExtraction] | None = None,
     prediction: PredictionOutput | None = None,
 ) -> LocationRun:
     """Run one variant pipeline for one location and task.
@@ -160,9 +156,7 @@ def predict_location(
     return LocationRun(prediction=prediction, pairs=pairs)
 
 
-def _inference_prompt(
-    task: TaskSpec, pairs: Mapping[tuple[Dimension, Level], PairExtraction]
-) -> str:
+def _inference_prompt(task: TaskSpec, pairs: Mapping[Pair, PairExtraction]) -> str:
     return build_inference_prompt(task, [pe.record for pe in pairs.values()])
 
 

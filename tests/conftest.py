@@ -11,6 +11,7 @@ from urbanmas.domain import (
     FieldValue,
     Level,
     LocationSample,
+    Pair,
     PoiEntry,
     PredictiveFactor,
     TaskSpec,
@@ -101,8 +102,7 @@ def make_factor_set(
 ) -> FactorSet:
     return FactorSet(
         task_id=task_id,
-        dimension=dimension,
-        level=level,
+        pair=Pair(dimension, level),
         factors=tuple(
             PredictiveFactor(name, f"Measurable description of {name}.") for name in names
         ),
@@ -121,8 +121,7 @@ def make_record(
     return UrbanInfoRecord(
         location_id=location_id,
         task_id=task_id,
-        dimension=dimension,
-        level=level,
+        pair=Pair(dimension, level),
         fields={name: FieldValue(text=text, provenance=provenance) for name, text in values.items()},
         status=status,
     )

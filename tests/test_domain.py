@@ -11,6 +11,7 @@ from urbanmas.domain import (
     Level,
     LocationSample,
     PAIRS,
+    Pair,
     PoiEntry,
     PredictionOutput,
     PredictiveFactor,
@@ -18,7 +19,6 @@ from urbanmas.domain import (
     TaskSpec,
     builtin_task,
     load_samples,
-    pair_label,
     save_samples,
     validate_factor_set,
     write_text_atomic,
@@ -39,8 +39,35 @@ class TestEnums:
         assert len(set(PAIRS)) == 4
         assert PAIRS[0] == (Dimension.SOCIAL, Level.MACRO)
 
-    def test_pair_labels_round_trip(self):
-        assert len({pair_label(d, r) for d, r in PAIRS}) == len(PAIRS)
+
+
+class TestPair:
+    def test_order_and_labels(self):
+        assert PAIRS == (
+            Pair(Dimension.SOCIAL, Level.MACRO),
+            Pair(Dimension.SOCIAL, Level.STREET),
+            Pair(Dimension.BUILT_ENVIRONMENTAL, Level.MACRO),
+            Pair(Dimension.BUILT_ENVIRONMENTAL, Level.STREET),
+        )
+        assert [pair.label for pair in PAIRS] == [
+            "social_macro", "social_street", "environment_macro", "environment_street",
+        ]
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=lambda pair: pair.label)
+    def test_is_its_plain_tuple(self, pair):
+        d, r = pair
+        assert (pair.dimension, pair.level) == (d, r)
+        assert pair == (d, r) and (d, r) == pair
+        assert hash(pair) == hash((d, r))
+        assert {(d, r): "found"}[pair] == "found"
+        assert {pair: "found"}[(d, r)] == "found"
+
+    def test_record_writes_dimension_and_level(self):
+        record = make_record({"f": "x"}, dimension=Dimension.BUILT_ENVIRONMENTAL, level=Level.STREET)
+        doc = record.to_dict()
+        assert list(doc) == ["location_id", "task_id", "dimension", "level", "status", "fields"]
+        assert (doc["dimension"], doc["level"]) == ("built_environmental", "street")
+        assert "pair" not in doc
 
 
 class TestTaskSpec:
@@ -116,8 +143,7 @@ class TestValidateFactorSet:
     def test_empty_name_and_description_reported(self):
         fs = FactorSet(
             task_id="t",
-            dimension=Dimension.SOCIAL,
-            level=Level.MACRO,
+            pair=Pair(Dimension.SOCIAL, Level.MACRO),
             factors=tuple(
                 [PredictiveFactor("", "desc")]
                 + [PredictiveFactor(f"f{i}", "") for i in range(5)]
@@ -128,7 +154,7 @@ class TestValidateFactorSet:
         assert any("empty description" in v for v in violations)
 
     def test_never_raises_on_garbage(self):
-        fs = FactorSet(task_id="t", dimension=Dimension.SOCIAL, level=Level.MACRO, factors=())
+        fs = FactorSet(task_id="t", pair=Pair(Dimension.SOCIAL, Level.MACRO), factors=())
         assert validate_factor_set(fs)  # violations, not an exception
 
 

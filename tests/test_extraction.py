@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from urbanmas.backend import CassetteBackend, MockBackend
-from urbanmas.domain import Dimension, Level, PAIRS, PoiEntry, builtin_task, pair_label
+from urbanmas.domain import Dimension, Level, PAIRS, PoiEntry, builtin_task
 from urbanmas.errors import ExtractionError, ExtractionParseError
 from urbanmas.extraction import (
     MAX_FIELD_CHARS,
@@ -257,7 +257,7 @@ class TestExtractReliable:
             extract_reliable(sample, factor_map, CassetteBackend(cassette)) for _ in range(2)
         ]
         as_json = lambda results: json.dumps(
-            {pair_label(*pair): pe.to_dict() for pair, pe in sorted(results.items(), key=str)},
+            {pair.label: pe.to_dict() for pair, pe in sorted(results.items(), key=str)},
             sort_keys=True,
         )
         assert as_json(replays[0]) == as_json(replays[1]) == as_json(recorded)

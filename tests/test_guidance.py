@@ -6,7 +6,7 @@ import pytest
 
 from urbanmas import domain, guidance
 from urbanmas.backend import CassetteBackend, ChatRequest, MockBackend
-from urbanmas.domain import Dimension, Level, PAIRS, TaskSpec, builtin_task, validate_factor_set
+from urbanmas.domain import Dimension, Level, PAIRS, Pair, TaskSpec, builtin_task, validate_factor_set
 from urbanmas.errors import DegenerateReportError, GuidanceError, InvalidFactorSetError
 from urbanmas.guidance import (
     GENERIC_FACTORS,
@@ -36,7 +36,7 @@ def _factors_json(n: int) -> str:
 
 class TestResearch:
     def test_mock_report_names_at_least_six_factors(self, task):
-        report = research(task, Dimension.SOCIAL, Level.MACRO, MockBackend())
+        report = research(task, Pair(Dimension.SOCIAL, Level.MACRO), MockBackend())
         assert len(report.body) >= 400
         numbered = re.findall(r"^\s*\d+\.\s", report.body, re.MULTILINE)
         assert len(numbered) >= 6
@@ -45,7 +45,7 @@ class TestResearch:
         backend = MockBackend()
         backend.add_rule(lambda r: True, " ")
         with pytest.raises(DegenerateReportError, match="social_macro"):
-            research(task, Dimension.SOCIAL, Level.MACRO, backend)
+            research(task, Pair(Dimension.SOCIAL, Level.MACRO), backend)
         assert backend.call_count == 3  # initial + 2 retries
 
     def test_short_then_long_succeeds_on_retry(self, task):
@@ -53,29 +53,28 @@ class TestResearch:
         long_body = "1. factor: text\n" + "x" * 500
         backend.add_rule(lambda r: r.variant_seed == 0, "too short")
         backend.add_rule(lambda r: r.variant_seed == 1, long_body)
-        report = research(task, Dimension.SOCIAL, Level.STREET, backend)
+        report = research(task, Pair(Dimension.SOCIAL, Level.STREET), backend)
         assert report.body == long_body
         assert backend.call_count == 2
 
     def test_replay_runs_are_identical(self, task, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
         recorder = CassetteBackend(cassette, MockBackend())
-        first = research(task, Dimension.SOCIAL, Level.MACRO, recorder)
+        first = research(task, Pair(Dimension.SOCIAL, Level.MACRO), recorder)
         replay = CassetteBackend(cassette)
-        second = research(task, Dimension.SOCIAL, Level.MACRO, replay)
-        third = research(task, Dimension.SOCIAL, Level.MACRO, replay)
+        second = research(task, Pair(Dimension.SOCIAL, Level.MACRO), replay)
+        third = research(task, Pair(Dimension.SOCIAL, Level.MACRO), replay)
         assert first.body == second.body == third.body
 
     def test_report_body_must_be_nonempty(self):
         with pytest.raises(ValueError):
-            ResearchReport(task_id="t", dimension=Dimension.SOCIAL, level=Level.MACRO, body=" ")
+            ResearchReport(task_id="t", pair=Pair(Dimension.SOCIAL, Level.MACRO), body=" ")
 
 
 def _report(task) -> ResearchReport:
     return ResearchReport(
         task_id=task.id,
-        dimension=Dimension.SOCIAL,
-        level=Level.MACRO,
+        pair=Pair(Dimension.SOCIAL, Level.MACRO),
         body="1. population density: residents per square km.\n" + "evidence " * 60,
     )
 
@@ -172,7 +171,7 @@ class TestGuide:
         assert all(len(fs.factors) == 5 for fs in factor_map.values())
         assert len(asked) == 4
         assert all("the five most influential predictive factors" in user for user in asked)
-        report = research(task, Dimension.SOCIAL, Level.MACRO, MockBackend())
+        report = research(task, Pair(Dimension.SOCIAL, Level.MACRO), MockBackend())
         assert len(re.findall(r"^\s*\d+\.\s", report.body, re.MULTILINE)) == 5
 
     def test_cache_round_trip_is_identical(self, task, tmp_path):
@@ -375,6 +374,19 @@ class TestGuide:
         with pytest.raises(OSError, match="killed"):
             save_factor_cache(cache, task, factor_map)
         assert cache.read_bytes() == before
+
+    def test_cache_writes_dimension_and_level_and_loads_pairs(self, task, tmp_path):
+        cache = tmp_path / "factors.json"
+        factor_map = guide([task], MockBackend())[task.id]
+        save_factor_cache(cache, task, factor_map)
+        entries = json.loads(cache.read_text())["pairs"]
+        assert [(e["dimension"], e["level"]) for e in entries] == [
+            (pair.dimension.value, pair.level.value) for pair in PAIRS
+        ]
+        loaded = load_factor_cache(cache, task)
+        assert loaded == factor_map
+        assert list(loaded) == list(PAIRS)
+        assert all(type(pair) is Pair and fs.pair is pair for pair, fs in loaded.items())
 
     def test_cache_with_missing_pair_is_rejected(self, task, tmp_path):
         cache = tmp_path / "factors.json"
