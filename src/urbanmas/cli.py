@@ -4,8 +4,8 @@ Stages mirror the pipeline layers: ``factors`` materializes the per-task
 factor caches, ``ingest`` resolves location context, ``predict`` runs the
 prediction pipelines, and ``evaluate`` scores predictions against ground
 truth. Every command writes a manifest (config snapshot, backend mode,
-dataset and cassette fingerprints) sufficient to reproduce the run in
-replay mode.
+code, dataset and cassette fingerprints) sufficient to reproduce the run
+in replay mode.
 
 Config file is JSON with the same keys as the flags; flags override the
 file. Environment: URBANMAS_API_KEY, URBANMAS_API_BASE, URBANMAS_MODEL.
@@ -31,6 +31,7 @@ from .domain import (
     PAIRS,
     TaskSpec,
     builtin_task,
+    cancel_queued_on_raise,
     load_json,
     load_samples,
     remove_stale_temp_files,
@@ -195,10 +196,26 @@ def _sha256_file(path: str | Path) -> str:
     return hashlib.sha256(p.read_bytes()).hexdigest()
 
 
+def code_sha256(package_dir: Path) -> str:
+    """SHA-256 over the ``*.py`` files in ``package_dir``, in sorted order:
+    each one's name, a NUL, its length in bytes, a NUL, then its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(package_dir.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+# The code this process imported, hashed once, as the manifest names it.
+CODE_SHA256 = code_sha256(Path(__file__).parent)
+
+
 def write_manifest(cfg: RunConfig, command: str) -> Path:
     manifest = {
         "command": command,
         "version": __version__,
+        "code_sha256": CODE_SHA256,
         "backend_mode": cfg.backend,
         "dataset_sha256": _sha256_file(cfg.dataset),
         "cassette_sha256": _sha256_file(cfg.cassette),
@@ -267,7 +284,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     enriched: dict[str, LocationSample] = {}
     hard_failures: dict[str, str] = {}
 
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    with cancel_queued_on_raise(ThreadPoolExecutor(cfg.workers)) as pool:
         futures = {s.id: pool.submit(client.enrich, s) for s in samples}
         for sample in samples:
             try:

@@ -14,10 +14,12 @@ import json
 import math
 import os
 import threading
+from concurrent.futures import Executor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 OUTPUT_SCALE = (0.0, 10.0)
 FACTORS_PER_SET = 6
@@ -256,6 +258,20 @@ def remove_stale_temp_files(path: Path) -> None:
     for ``path``, whose name may be a glob pattern."""
     for stale in path.parent.glob(f"{path.name}.*.tmp"):
         stale.unlink()
+
+
+@contextmanager
+def cancel_queued_on_raise(pool: Executor) -> Iterator[Executor]:
+    """Open ``pool`` for the ``with`` body and shut it down after. When the
+    body raises anything, ``KeyboardInterrupt`` included, the work still
+    queued is cancelled; the calls already running end before the error
+    propagates."""
+    with pool:
+        try:
+            yield pool
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def write_json_atomic(path: Path, doc: object) -> None:

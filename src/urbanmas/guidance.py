@@ -35,6 +35,7 @@ from .domain import (
     Pair,
     PredictiveFactor,
     TaskSpec,
+    cancel_queued_on_raise,
     load_json,
     validate_factor_set,
     write_json_atomic,
@@ -205,7 +206,7 @@ def guide(
     flight. Each task whose four pairs succeed is cached whole to its own
     file (factor sets plus report bodies) before any failure is raised;
     then one :class:`GuidanceError` names every failing pair as
-    ``<task>/<pair>``.
+    ``<task>/<pair>``. An interrupt starts no call still queued.
     """
     paths = {} if factor_dir is None else {
         task.id: factor_cache_path(factor_dir, task.id) for task in tasks
@@ -225,7 +226,7 @@ def guide(
 
     results: dict[tuple[str, Pair], tuple[ResearchReport, FactorSet]] = {}
     errors, failed = [], set()
-    with ThreadPoolExecutor(max_workers=len(PAIRS) * max(1, workers)) as pool:
+    with cancel_queued_on_raise(ThreadPoolExecutor(len(PAIRS) * max(1, workers))) as pool:
         futures = {
             (task.id, pair): pool.submit(research_then_queue_summary, task, pair)
             for task in todo

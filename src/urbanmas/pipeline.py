@@ -35,6 +35,7 @@ from .domain import (
     Pair,
     PredictionOutput,
     TaskSpec,
+    cancel_queued_on_raise,
     load_json,
     write_text_atomic,
 )
@@ -270,30 +271,26 @@ def run_predictions(
     outcome = RunOutcome()
     done: dict[tuple[str, str, str], tuple[PredictionOutput, list[str]]] = {}
     # A job makes one call at a time, so at most 4 x workers calls are in flight.
-    with ThreadPoolExecutor(max_workers=len(PAIRS) * max(1, workers)) as pool:
+    with cancel_queued_on_raise(ThreadPoolExecutor(len(PAIRS) * max(1, workers))) as pool:
         futures = [
             pool.submit(_run_jobs, sample, chain, backend, factor_maps, on_job_end)
             for sample, chain in groups
         ]
-        try:
-            for (sample, chain), future in zip(groups, futures):
-                for (task, variant), (prediction, detail) in zip(chain, future.result()):
-                    key = (sample.id, task.id, variant)
-                    if prediction is not None:
-                        done[key] = (prediction, detail)
-                        continue
-                    logger.error("job %s failed: %s", key, detail)
-                    outcome.failures.append(
-                        {
-                            "location_id": sample.id,
-                            "task_id": task.id,
-                            "variant": variant,
-                            "error": detail,
-                        }
-                    )
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        for (sample, chain), future in zip(groups, futures):
+            for (task, variant), (prediction, detail) in zip(chain, future.result()):
+                key = (sample.id, task.id, variant)
+                if prediction is not None:
+                    done[key] = (prediction, detail)
+                    continue
+                logger.error("job %s failed: %s", key, detail)
+                outcome.failures.append(
+                    {
+                        "location_id": sample.id,
+                        "task_id": task.id,
+                        "variant": variant,
+                        "error": detail,
+                    }
+                )
 
     ordered = [done[key] for key in sorted(done)]
     outcome.predictions = [prediction for prediction, _ in ordered]

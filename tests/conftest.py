@@ -1,5 +1,8 @@
 import json
 import shutil
+import signal
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -46,6 +49,44 @@ def no_geo_network(monkeypatch):
         raise AssertionError("network touched")
 
     monkeypatch.setattr("urbanmas.geo.http_request", no_network)
+
+
+class CtrlC:
+    """Stands in for a Ctrl-C that arrives while every thread of a pool of
+    ``slots`` is in a call.
+
+    Each call that goes through :meth:`call` is held until ``slots`` calls
+    have started. The last of them waits ``hold_s`` for the main thread to
+    queue the rest of its work and wait for a result, then sends it SIGINT,
+    which raises ``KeyboardInterrupt`` there, as a Ctrl-C does. The held
+    calls are released ``hold_s`` later, once the interrupted stage has had
+    time to cancel its queued work. ``started`` counts the calls.
+    """
+
+    def __init__(self, slots: int, hold_s: float = 0.2):
+        self.slots = slots
+        self.started = 0
+        self._hold_s = hold_s
+        self._lock = threading.Lock()
+        self._released = threading.Event()
+
+    def call(self) -> None:
+        with self._lock:
+            self.started += 1
+            last = self.started == self.slots
+        if last:
+            time.sleep(self._hold_s)
+            threading.Timer(self._hold_s, self._released.set).start()
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        assert self._released.wait(timeout=30)
+
+
+@pytest.fixture
+def sigint_raises():
+    """SIGINT raises ``KeyboardInterrupt`` in the main thread for this test."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
 
 
 FACTOR_NAMES = (

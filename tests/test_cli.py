@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -13,7 +14,7 @@ from urbanmas.cli import RunConfig, load_config, main, make_backend
 from urbanmas.domain import builtin_task
 from urbanmas.errors import ConfigError
 
-from conftest import DEEP_JSON, FIXTURES, LONG_INT_JSON, answer_every_upstream
+from conftest import DEEP_JSON, FIXTURES, LONG_INT_JSON, CtrlC, answer_every_upstream
 
 
 @pytest.fixture
@@ -369,6 +370,24 @@ class TestIngestCommand:
             "--out", str(workspace / "out"),
         ) == code
         assert failed in capsys.readouterr().out
+
+    def test_an_interrupt_starts_no_queued_lookup(self, workspace, monkeypatch, sigint_raises):
+        raw = json.loads((workspace / "raw_samples.jsonl").read_text().splitlines()[0])
+        dataset = workspace / "many.jsonl"
+        dataset.write_text("".join(json.dumps({**raw, "id": f"loc{i}"}) + "\n" for i in range(40)))
+        ctrl_c = CtrlC(slots=2)
+
+        def enrich(client, sample):
+            ctrl_c.call()
+            return sample
+
+        monkeypatch.setattr(urbanmas.cli.GeoClient, "enrich", enrich)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(
+                "ingest", "--offline", "--dataset", str(dataset), "--workers", "2",
+                "--cache-dir", str(workspace / "geocache"), "--out", str(workspace / "out"),
+            )
+        assert ctrl_c.started == ctrl_c.slots  # of 40 samples
 
     def test_temp_files_of_killed_cache_writes_are_swept(self, workspace):
         cache = workspace / "geocache"
@@ -998,3 +1017,41 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert f"error: {bad}{where}" in err
         assert "Traceback" not in err
+
+
+class TestCodeDigest:
+    PACKAGE = Path(urbanmas.cli.__file__).parent
+
+    @staticmethod
+    def digest_of(package: Path) -> str:
+        """The manifest's code digest, recomputed from the files."""
+        digest = hashlib.sha256()
+        for name in sorted(p.name for p in package.glob("*.py")):
+            data = (package / name).read_bytes()
+            digest.update(name.encode() + b"\0" + str(len(data)).encode() + b"\0" + data)
+        return digest.hexdigest()
+
+    def test_every_stage_names_the_code_that_ran(self, workspace):
+        common = ("--backend", "mock", "--tasks", "running_amount",
+                  "--factor-dir", str(workspace / "factors"), "--cache-dir",
+                  str(workspace / "geocache"), "--dataset", str(workspace / "samples.jsonl"))
+        expected = self.digest_of(self.PACKAGE)
+        for command in ("factors", "ingest", "predict"):
+            out = workspace / command
+            assert run_cli(command, "--offline", *common, "--out", str(out)) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["code_sha256"] == expected, command
+
+    def test_one_changed_byte_gives_another_digest(self, tmp_path):
+        copy = tmp_path / "urbanmas"
+        copy.mkdir()
+        for path in self.PACKAGE.glob("*.py"):
+            shutil.copy(path, copy / path.name)
+        (copy / "notes.txt").write_text("not code")
+        assert urbanmas.cli.code_sha256(copy) == urbanmas.cli.CODE_SHA256
+        pipeline = copy / "pipeline.py"
+        data = bytearray(pipeline.read_bytes())
+        data[-2] ^= 1
+        pipeline.write_bytes(bytes(data))
+        assert urbanmas.cli.code_sha256(copy) != urbanmas.cli.CODE_SHA256
+        assert urbanmas.cli.code_sha256(copy) == self.digest_of(copy)

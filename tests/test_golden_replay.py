@@ -28,7 +28,8 @@ change is intended::
         | sha256sum | cut -c1-64 > $G/audit.sha256
 
 The third test replays the set through the CLI in a child process under
-each other Python that CI tests, when it is on ``PATH`` and starts.
+each other Python that CI tests, when one starts: the one on ``PATH``, else
+a pyenv build of that version under ``$PYENV_ROOT`` (default ``~/.pyenv``).
 """
 
 import hashlib
@@ -92,16 +93,30 @@ def test_replay_of_the_golden_cassette_reproduces_the_pinned_outputs(tmp_path):
 OTHER_PYTHONS = [f"python3.{minor}" for minor in range(10, 14) if minor != sys.version_info.minor]
 
 
+def interpreter_candidates(python: str) -> list[str]:
+    """``python`` on ``PATH``, then the pyenv builds of its version.
+
+    A pyenv shim is on ``PATH`` for every installed version, but it exits
+    127 when no version is selected; the build itself still starts.
+    """
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    version = python.removeprefix("python")
+    builds = sorted(str(p) for p in root.glob(f"versions/{version}.*/bin/{python}"))
+    return [path for path in (shutil.which(python), *builds) if path]
+
+
 @pytest.mark.parametrize("python", OTHER_PYTHONS)
 def test_replay_under_another_python_reproduces_the_pinned_outputs(tmp_path, python):
     """The CLI in development mode with warnings as errors, at 1 and 4 workers."""
-    path = shutil.which(python)
-    if path is None:
-        pytest.skip(f"{python} is not on PATH")
-    probe = subprocess.run([path, "-c", "pass"], capture_output=True, text=True, timeout=60)
-    if probe.returncode != 0:
+    refusals = []
+    for path in interpreter_candidates(python):
+        probe = subprocess.run([path, "-c", "pass"], capture_output=True, text=True, timeout=60)
+        if probe.returncode == 0:
+            break
         said = "".join((probe.stderr or probe.stdout).strip().splitlines()[:1])
-        pytest.skip(f"{python} ({path}) cannot start: exit {probe.returncode}: {said}")
+        refusals.append(f"{python} ({path}) cannot start: exit {probe.returncode}: {said}")
+    else:
+        pytest.skip("; ".join(refusals) or f"{python} is not on PATH")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for workers in ("1", "4"):
         factor_dir, out = tmp_path / f"factors_{workers}", tmp_path / f"out_{workers}"

@@ -20,7 +20,7 @@ from urbanmas.guidance import (
     summarize,
 )
 
-from conftest import DEEP_JSON
+from conftest import DEEP_JSON, CtrlC
 
 
 def _factors_json(n: int) -> str:
@@ -214,6 +214,20 @@ class TestGuide:
         factor_maps = guide(tasks, backend, workers=2)
         assert list(factor_maps) == [t.id for t in tasks]
         assert backend.call_count == 3 * 4 * 2
+
+    def test_an_interrupt_starts_no_queued_call(self, sigint_raises):
+        workers = 1
+        ctrl_c = CtrlC(slots=len(PAIRS) * workers)
+
+        class HeldBackend(MockBackend):
+            def complete(self, req):
+                ctrl_c.call()
+                return super().complete(req)
+
+        tasks = [builtin_task(t) for t in ("running_amount", "boringness", "liveliness")]
+        with pytest.raises(KeyboardInterrupt):
+            guide(tasks, HeldBackend(), workers=workers)
+        assert ctrl_c.started == ctrl_c.slots  # of 24 calls
 
     def test_a_summary_takes_the_first_free_call_slot(self, monkeypatch):
         workers = 2
