@@ -14,6 +14,7 @@ file. Environment: URBANMAS_API_KEY, URBANMAS_API_BASE, URBANMAS_MODEL.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -196,9 +197,11 @@ def _sha256_file(path: str | Path) -> str:
     return hashlib.sha256(p.read_bytes()).hexdigest()
 
 
-def code_sha256(package_dir: Path) -> str:
-    """SHA-256 over the ``*.py`` files in ``package_dir``, in sorted order:
-    each one's name, a NUL, its length in bytes, a NUL, then its bytes."""
+@functools.cache
+def code_sha256(package_dir: Path = Path(__file__).parent) -> str:
+    """SHA-256 over the ``*.py`` files in ``package_dir``, by default this
+    package's, in sorted order: each one's name, a NUL, its length in bytes,
+    a NUL, then its bytes. Each directory is read once per process."""
     digest = hashlib.sha256()
     for path in sorted(package_dir.glob("*.py")):
         data = path.read_bytes()
@@ -207,15 +210,11 @@ def code_sha256(package_dir: Path) -> str:
     return digest.hexdigest()
 
 
-# The code this process imported, hashed once, as the manifest names it.
-CODE_SHA256 = code_sha256(Path(__file__).parent)
-
-
 def write_manifest(cfg: RunConfig, command: str) -> Path:
     manifest = {
         "command": command,
         "version": __version__,
-        "code_sha256": CODE_SHA256,
+        "code_sha256": code_sha256(),
         "backend_mode": cfg.backend,
         "dataset_sha256": _sha256_file(cfg.dataset),
         "cassette_sha256": _sha256_file(cfg.cassette),

@@ -3,10 +3,9 @@ or built environment) and a level (macro or street), then summarize into
 validated six-factor sets.
 
 The layer is a two-call protocol against the chat backend: a research
-prompt produces a brief per pair, and a summary prompt
-compresses it into exactly ``FACTORS_PER_SET`` (six) named, described
-factors. Factor sets that fail validation are re-requested with the
-violation list quoted back.
+prompt produces a brief per pair, and a summary prompt compresses it into
+exactly ``FACTORS_PER_SET`` (six) named, described factors. Factor sets
+that fail validation are re-requested with the violation list quoted back.
 :func:`guide` takes every task of a run at once: the research and summary
 calls of all uncached (task, pair) combinations share one thread pool, and
 each summary is queued on it as soon as its research ends, so a

@@ -1043,15 +1043,16 @@ class TestCodeDigest:
             assert manifest["code_sha256"] == expected, command
 
     def test_one_changed_byte_gives_another_digest(self, tmp_path):
-        copy = tmp_path / "urbanmas"
-        copy.mkdir()
-        for path in self.PACKAGE.glob("*.py"):
-            shutil.copy(path, copy / path.name)
-        (copy / "notes.txt").write_text("not code")
-        assert urbanmas.cli.code_sha256(copy) == urbanmas.cli.CODE_SHA256
-        pipeline = copy / "pipeline.py"
+        same, changed = tmp_path / "same" / "urbanmas", tmp_path / "changed" / "urbanmas"
+        for copy in (same, changed):
+            copy.mkdir(parents=True)
+            for path in self.PACKAGE.glob("*.py"):
+                shutil.copy(path, copy / path.name)
+            (copy / "notes.txt").write_text("not code")
+        pipeline = changed / "pipeline.py"
         data = bytearray(pipeline.read_bytes())
         data[-2] ^= 1
         pipeline.write_bytes(bytes(data))
-        assert urbanmas.cli.code_sha256(copy) != urbanmas.cli.CODE_SHA256
-        assert urbanmas.cli.code_sha256(copy) == self.digest_of(copy)
+        assert urbanmas.cli.code_sha256(same) == urbanmas.cli.code_sha256()
+        assert urbanmas.cli.code_sha256(changed) != urbanmas.cli.code_sha256()
+        assert urbanmas.cli.code_sha256(changed) == self.digest_of(changed)

@@ -40,7 +40,6 @@ class TestEnums:
         assert PAIRS[0] == (Dimension.SOCIAL, Level.MACRO)
 
 
-
 class TestPair:
     def test_order_and_labels(self):
         assert PAIRS == (
