@@ -21,7 +21,6 @@ import logging
 import os
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -32,11 +31,11 @@ from .domain import (
     PAIRS,
     TaskSpec,
     builtin_task,
-    cancel_queued_on_raise,
     load_json,
     load_samples,
     remove_stale_temp_files,
     save_samples,
+    worker_pool,
     write_text_atomic,
 )
 from .errors import ConfigError, EnrichmentError, UrbanMasError
@@ -93,14 +92,19 @@ class RunConfig:
             raise ConfigError(f"backend: must be one of {BACKEND_MODES}, got {self.backend!r}")
         if self.record_source not in ("live", "mock"):
             raise ConfigError(f"record_source: must be 'live' or 'mock', got {self.record_source!r}")
+        # Exact types: a JSON true or false loads as a bool, a subclass of int.
         for key in ("workers", "poi_limit"):
             value = getattr(self, key)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ConfigError(f"{key}: must be an integer >= 1, got {value!r}")
         for key in ("poi_radius_m", "requests_per_minute"):
             value = getattr(self, key)
-            if not isinstance(value, (int, float)) or value <= 0:
+            if type(value) not in (int, float) or value <= 0:
                 raise ConfigError(f"{key}: must be a number > 0, got {value!r}")
+        for key in ("temperature", "top_p"):
+            value = getattr(self, key)
+            if value is not None and type(value) not in (int, float):
+                raise ConfigError(f"{key}: must be a number or null, got {value!r}")
         bad_ids = [t for t in self.tasks if not isinstance(t, str)]
         if bad_ids:
             raise ConfigError(f"tasks: task ids must be strings, got {bad_ids}")
@@ -283,8 +287,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
     enriched: dict[str, LocationSample] = {}
     hard_failures: dict[str, str] = {}
 
-    with cancel_queued_on_raise(ThreadPoolExecutor(cfg.workers)) as pool:
-        futures = {s.id: pool.submit(client.enrich, s) for s in samples}
+    with worker_pool(cfg.workers) as submit:
+        futures = {s.id: submit(client.enrich, s) for s in samples}
         for sample in samples:
             try:
                 enriched[sample.id] = futures[sample.id].result()

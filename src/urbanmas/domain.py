@@ -10,16 +10,17 @@ violations.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
 import threading
-from concurrent.futures import Executor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 OUTPUT_SCALE = (0.0, 10.0)
 FACTORS_PER_SET = 6
@@ -214,17 +215,26 @@ class LocationSample:
 
 def load_samples(path: str | Path) -> list[LocationSample]:
     """Load location samples from a line-delimited JSON file."""
-    samples = []
+    return load_jsonl(path, LocationSample.from_dict, "sample")
+
+
+def load_jsonl(path: str | Path, from_dict: Callable[[Mapping], object], what: str) -> list:
+    """``from_dict`` of each nonempty line of a line-delimited JSON file. Bad
+    content raises ``ValueError`` naming ``path``, and the line when it has one."""
+    records = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                samples.append(LocationSample.from_dict(load_json(line)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad sample record: {exc}") from exc
-    return samples
+        try:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append(from_dict(load_json(line)))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8: {exc}") from exc
+    return records
 
 
 def save_samples(samples: Iterable[LocationSample], path: str | Path) -> None:
@@ -261,14 +271,17 @@ def remove_stale_temp_files(path: Path) -> None:
 
 
 @contextmanager
-def cancel_queued_on_raise(pool: Executor) -> Iterator[Executor]:
-    """Open ``pool`` for the ``with`` body and shut it down after. When the
-    body raises anything, ``KeyboardInterrupt`` included, the work still
-    queued is cancelled; the calls already running end before the error
-    propagates."""
-    with pool:
+def worker_pool(width: int) -> Iterator[Callable[..., Future]]:
+    """Open ``width`` threads and yield their ``submit(fn, *args)``, which runs
+    ``fn`` in a copy of the submitter's ``contextvars`` context. At 4 x
+    ``workers`` threads of one model call each, at most 4 x ``workers`` calls
+    are in flight. If the ``with`` body raises anything, ``KeyboardInterrupt``
+    included, queued work is cancelled; running work ends before it propagates."""
+    with ThreadPoolExecutor(width) as pool:
+        def submit(fn: Callable, /, *args) -> Future:
+            return pool.submit(contextvars.copy_context().run, fn, *args)
         try:
-            yield pool
+            yield submit
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -418,13 +431,14 @@ class UrbanInfoRecord:
     """Structured extraction output for one location under one pair.
 
     ``fields`` is an ordered mapping whose keys must equal the six factor
-    names of the governing factor set, in the same order. Raw records come
+    names of the governing factor set, in the same order. A record names no
+    task: the ``no_factors`` jobs of every task share one, and the job's task
+    is written with it (:meth:`to_dict`). Raw records come
     straight from the extractor; the reliability layer settles them into
     stable / refined / low_confidence.
     """
 
     location_id: str
-    task_id: str
     pair: Pair
     fields: Mapping[str, FieldValue]
     status: str = "raw"
@@ -445,10 +459,10 @@ class UrbanInfoRecord:
             raise ValueError(f"illegal status transition {self.status!r} -> {status!r}")
         return replace(self, status=status, fields=dict(fields if fields is not None else self.fields))
 
-    def to_dict(self) -> dict:
+    def to_dict(self, task_id: str) -> dict:
         return {
             "location_id": self.location_id,
-            "task_id": self.task_id,
+            "task_id": task_id,
             "dimension": self.pair.dimension.value,
             "level": self.pair.level.value,
             "status": self.status,

@@ -161,13 +161,7 @@ def _record(
     fields = {
         name: FieldValue(text=values[name], provenance=provenance) for name in fs.factor_names
     }
-    return UrbanInfoRecord(
-        location_id=sample.id,
-        task_id=fs.task_id,
-        pair=fs.pair,
-        fields=fields,
-        status="raw",
-    )
+    return UrbanInfoRecord(location_id=sample.id, pair=fs.pair, fields=fields, status="raw")
 
 
 def extract_variants(
@@ -223,27 +217,18 @@ class PairExtraction:
         """Refiner calls made: ``reconcile`` makes one per repair round."""
         return sum(v.repair_rounds for v in self.record.fields.values())
 
-    def for_task(self, task_id: str) -> "PairExtraction":
-        """This extraction with its records relabelled to ``task_id``."""
-        return replace(
-            self,
-            variant_a=replace(self.variant_a, task_id=task_id),
-            variant_b=replace(self.variant_b, task_id=task_id) if self.variant_b else None,
-            record=replace(self.record, task_id=task_id),
-        )
-
     def ungated(self) -> "PairExtraction":
         """This extraction as the no_reliability ablation keeps it: variant A
         accepted as it is, with no variant B and no report."""
         return replace(self, variant_b=None, report=None, record=self.variant_a)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, task_id: str) -> dict:
         return {
             "prompt": self.prompt.to_dict(),
-            "variant_a": self.variant_a.to_dict(),
-            "variant_b": self.variant_b.to_dict() if self.variant_b else None,
+            "variant_a": self.variant_a.to_dict(task_id),
+            "variant_b": self.variant_b.to_dict(task_id) if self.variant_b else None,
             "similarity": self.report.to_dict() if self.report else None,
-            "record": self.record.to_dict(),
+            "record": self.record.to_dict(task_id),
             "refine_calls": self.refine_calls,
         }
 

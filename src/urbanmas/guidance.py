@@ -7,7 +7,7 @@ prompt produces a brief per pair, and a summary prompt compresses it into
 exactly ``FACTORS_PER_SET`` (six) named, described factors. Factor sets
 that fail validation are re-requested with the violation list quoted back.
 :func:`guide` takes every task of a run at once: the research and summary
-calls of all uncached (task, pair) combinations share one thread pool, and
+calls of all uncached (task, pair) combinations share one worker pool, and
 each summary is queued on it as soon as its research ends, so a
 latency-bound backend sees as many calls in flight as in ``predict``.
 Results are cached to disk per task so extraction runs never re-research,
@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -34,9 +34,9 @@ from .domain import (
     Pair,
     PredictiveFactor,
     TaskSpec,
-    cancel_queued_on_raise,
     load_json,
     validate_factor_set,
+    worker_pool,
     write_json_atomic,
 )
 from .errors import DegenerateReportError, GuidanceError, InvalidFactorSetError
@@ -196,13 +196,12 @@ def guide(
     """Produce the four factor sets of every task, keyed by task id.
 
     A task whose cache exists under ``factor_dir`` is loaded and makes no
-    backend call. The other tasks run on one pool of 4 x ``workers`` threads,
-    the bound :func:`~urbanmas.pipeline.run_predictions` keeps too. Each
+    backend call. The other tasks run on one
+    :func:`~urbanmas.domain.worker_pool` of 4 x ``workers`` threads. Each
     (task, pair) research is one pool task. When it ends, it queues its
     summary (retries included) on the same pool, behind the researches
-    still waiting, so no thread idles while a call is ready. A pool task
-    makes one call at a time, so at most 4 x ``workers`` calls are in
-    flight. Each task whose four pairs succeed is cached whole to its own
+    still waiting, so no thread idles while a call is ready. Each task
+    whose four pairs succeed is cached whole to its own
     file (factor sets plus report bodies) before any failure is raised;
     then one :class:`GuidanceError` names every failing pair as
     ``<task>/<pair>``. An interrupt starts no call still queued.
@@ -221,13 +220,13 @@ def guide(
         task: TaskSpec, pair: Pair
     ) -> tuple[ResearchReport, Future[FactorSet]]:
         report = research(task, pair, backend)
-        return report, pool.submit(summarize, report, task, backend)
+        return report, submit(summarize, report, task, backend)
 
     results: dict[tuple[str, Pair], tuple[ResearchReport, FactorSet]] = {}
     errors, failed = [], set()
-    with cancel_queued_on_raise(ThreadPoolExecutor(len(PAIRS) * max(1, workers))) as pool:
+    with worker_pool(len(PAIRS) * workers) as submit:
         futures = {
-            (task.id, pair): pool.submit(research_then_queue_summary, task, pair)
+            (task.id, pair): submit(research_then_queue_summary, task, pair)
             for task in todo
             for pair in PAIRS
         }

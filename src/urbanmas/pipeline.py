@@ -5,16 +5,19 @@ extraction with the reliability gate and joint inference; ``no_factors``
 swaps the guided factor sets for the fixed generic placeholders;
 ``no_reliability`` uses single-variant extraction with unconditional
 acceptance; ``single_llm`` bypasses all layers with one direct prompt.
-A job runs in one thread and makes its model calls one at a time. One pool
-task runs a chain of jobs in turn, and a job that succeeded hands its
-extraction on to the next. The generic sets do not depend on the task, so
-the ``no_factors`` jobs of one location form one chain over every task and
-share one extraction. ``no_reliability`` is ``full`` without the gate, so
-it follows the ``full`` job of its location and task and takes that job's
-variant A as its record, and that job's prediction when the inference prompt
-it would send is the same. Every other job is a chain of one. A job's
-transcript is handed to the caller as the job ends and then dropped, so a
-run's memory does not grow with its transcripts. Predictions and the
+A job runs in one thread and makes its model calls one at a time. One task
+of the run's :func:`~urbanmas.domain.worker_pool` runs a chain of jobs in
+turn, and a job that succeeded hands its extraction on to the next. The
+generic sets do not depend on the task, so the ``no_factors`` jobs of one
+location form one chain over every task and share one extraction; a record
+names no task, and each job's task is written into its outputs.
+``no_reliability`` is ``full`` without the gate, so it follows the ``full``
+job of its location and task and takes that job's variant A as its record,
+and that job's prediction when the inference prompt it would send is the
+same. Every other job is a chain of one. An interrupt starts no chain still
+queued; a chain already started runs to its end. A job's transcript is
+handed to the caller as the job ends and then dropped, so a run's memory
+does not grow with its transcripts. Predictions and the
 similarity log are written in deterministic order, so replay runs are
 byte-identical regardless of worker width.
 """
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -35,8 +37,8 @@ from .domain import (
     Pair,
     PredictionOutput,
     TaskSpec,
-    cancel_queued_on_raise,
-    load_json,
+    load_jsonl,
+    worker_pool,
     write_text_atomic,
 )
 from .errors import ConfigError
@@ -64,7 +66,8 @@ class LocationRun:
             "variant": self.prediction.variant,
         }
         if self.pairs is not None:
-            doc["pairs"] = {pair.label: self.pairs[pair].to_dict() for pair in PAIRS}
+            task_id = self.prediction.task_id
+            doc["pairs"] = {pair.label: self.pairs[pair].to_dict(task_id) for pair in PAIRS}
         doc["prediction"] = self.prediction.to_dict()
         return doc
 
@@ -104,10 +107,12 @@ def predict_location(
 
     ``pairs`` is an extraction of this location made by an earlier job of
     its chain, used in place of a new one. For ``no_factors`` it was settled
-    for another task; the generic sets are the same for every task, so it is
-    relabelled to ``task``. For ``no_reliability`` it is the ``full``
-    extraction of the same task: each pair keeps its prompt and variant A,
-    accepted as it is, which is what its own extraction would ask and keep.
+    for another task; the generic sets are the same for every task, and a
+    record names no task, so it serves ``task`` as it is. For
+    ``no_reliability`` it is the ``full`` extraction of the same task: each
+    pair keeps its prompt and variant A, accepted as it is, which is what its
+    own extraction would ask and keep. An extraction of another location,
+    or under other factor names, is refused.
 
     ``prediction`` is what the job that made ``pairs`` inferred from them.
     ``no_reliability`` takes it, relabelled, in place of its own inference
@@ -135,16 +140,13 @@ def predict_location(
         pairs = extract_reliable(
             sample, factor_map, backend, reliability_enabled=(variant != "no_reliability")
         )
-    elif variant == "no_factors":
-        pairs = {key: pe.for_task(task.id) for key, pe in pairs.items()}
-    else:
+    elif variant == "no_reliability":
         for key, pe in pairs.items():
-            # A record is labelled with the task of the factor set it was extracted for.
-            own = (sample.id, factor_map[key].task_id)
-            if (pe.record.location_id, pe.record.task_id) != own:
+            own = (sample.id, factor_map[key].factor_names)
+            if (pe.record.location_id, pe.record.field_names) != own:
                 raise ConfigError(
-                    f"no_reliability reuses only the full extraction of its own location and "
-                    f"task {own}, not of {(pe.record.location_id, pe.record.task_id)}"
+                    f"no_reliability reuses only an extraction of its own location and "
+                    f"factors {own}, not of {(pe.record.location_id, pe.record.field_names)}"
                 )
         ungated = {key: pe.ungated() for key, pe in pairs.items()}
         if prediction is not None and _inference_prompt(task, ungated) == (
@@ -270,10 +272,9 @@ def run_predictions(
     groups = [(sample, chain) for chain in _chains(tasks, variants) for sample in samples]
     outcome = RunOutcome()
     done: dict[tuple[str, str, str], tuple[PredictionOutput, list[str]]] = {}
-    # A job makes one call at a time, so at most 4 x workers calls are in flight.
-    with cancel_queued_on_raise(ThreadPoolExecutor(len(PAIRS) * max(1, workers))) as pool:
+    with worker_pool(len(PAIRS) * workers) as submit:
         futures = [
-            pool.submit(_run_jobs, sample, chain, backend, factor_maps, on_job_end)
+            submit(_run_jobs, sample, chain, backend, factor_maps, on_job_end)
             for sample, chain in groups
         ]
         for (sample, chain), future in zip(groups, futures):
@@ -312,18 +313,8 @@ def write_predictions(predictions: Sequence[PredictionOutput], path: str | Path)
 
 
 def load_predictions(path: str | Path) -> list[PredictionOutput]:
-    """Load a predictions file; a bad line raises ``ValueError`` naming ``path:line``."""
-    predictions = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                predictions.append(PredictionOutput.from_dict(load_json(line)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad prediction record: {exc}") from exc
-    return predictions
+    """Load a predictions file; bad content raises ``ValueError`` naming ``path``."""
+    return load_jsonl(path, PredictionOutput.from_dict, "prediction")
 
 
 def write_audit(run: LocationRun, audit_dir: str | Path) -> None:

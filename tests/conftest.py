@@ -1,3 +1,4 @@
+import contextvars
 import json
 import shutil
 import signal
@@ -89,6 +90,31 @@ def sigint_raises():
     signal.signal(signal.SIGINT, previous)
 
 
+# A context variable that a test sets in the thread that opens the pools; the
+# pool helper must carry it into every task, however deep the submit.
+OPENER = contextvars.ContextVar("opener", default=None)
+
+
+@pytest.fixture
+def opener_value():
+    """``OPENER`` set for this test in the test's own thread."""
+    token = OPENER.set("set by the opener")
+    yield OPENER.get()
+    OPENER.reset(token)
+
+
+class ContextProbeBackend(MockBackend):
+    """Mock that notes, per call, its system prompt and what ``OPENER`` holds."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen: list[tuple[str, object]] = []
+
+    def complete(self, req):
+        self.seen.append((req.system_prompt, OPENER.get()))
+        return super().complete(req)
+
+
 FACTOR_NAMES = (
     "population density",
     "greenery coverage",
@@ -156,12 +182,10 @@ def make_record(
     dimension: Dimension = Dimension.SOCIAL,
     level: Level = Level.MACRO,
     location_id: str = "tokyo_tower",
-    task_id: str = "running_amount",
     status: str = "raw",
 ) -> UrbanInfoRecord:
     return UrbanInfoRecord(
         location_id=location_id,
-        task_id=task_id,
         pair=Pair(dimension, level),
         fields={name: FieldValue(text=text, provenance=provenance) for name, text in values.items()},
         status=status,

@@ -14,7 +14,9 @@ from urbanmas.cli import RunConfig, load_config, main, make_backend
 from urbanmas.domain import builtin_task
 from urbanmas.errors import ConfigError
 
-from conftest import DEEP_JSON, FIXTURES, LONG_INT_JSON, CtrlC, answer_every_upstream
+from conftest import (
+    DEEP_JSON, FIXTURES, LONG_INT_JSON, OPENER, CtrlC, answer_every_upstream,
+)
 
 
 @pytest.fixture
@@ -133,11 +135,20 @@ class TestRunConfig:
             ({"poi_limit": 0}, "poi_limit"),
             ({"requests_per_minute": "fast"}, "requests_per_minute"),
             ({"tasks": [["running_amount"]]}, "tasks"),
+            ({"workers": True}, "workers"),
+            ({"poi_limit": True}, "poi_limit"),
+            ({"poi_radius_m": True}, "poi_radius_m"),
+            ({"requests_per_minute": True}, "requests_per_minute"),
+            ({"temperature": "hot"}, "temperature"),
+            ({"top_p": [1]}, "top_p"),
+            ({"temperature": False}, "temperature"),
         ],
         ids=[
             "task-without-description", "workers-not-a-number", "variants-not-a-list",
             "backend-unknown", "record-source-unknown", "replay-without-cassette",
             "radius-not-a-number", "poi-limit-zero", "rate-not-a-number", "task-id-not-a-string",
+            "workers-a-boolean", "poi-limit-a-boolean", "radius-a-boolean", "rate-a-boolean",
+            "temperature-a-string", "top-p-a-list", "temperature-a-boolean",
         ],
     )
     def test_malformed_config_value_is_a_labelled_usage_error(self, tmp_path, capsys, doc, key):
@@ -388,6 +399,21 @@ class TestIngestCommand:
                 "--cache-dir", str(workspace / "geocache"), "--out", str(workspace / "out"),
             )
         assert ctrl_c.started == ctrl_c.slots  # of 40 samples
+
+    def test_each_lookup_sees_the_openers_context(self, workspace, monkeypatch, opener_value):
+        seen = []
+
+        def enrich(client, sample):
+            seen.append(OPENER.get())
+            return sample
+
+        monkeypatch.setattr(urbanmas.cli.GeoClient, "enrich", enrich)
+        assert run_cli(
+            "ingest", "--offline", "--dataset", str(workspace / "raw_samples.jsonl"),
+            "--workers", "2", "--cache-dir", str(workspace / "geocache"),
+            "--out", str(workspace / "out"),
+        ) == 0
+        assert seen and set(seen) == {opener_value}
 
     def test_temp_files_of_killed_cache_writes_are_swept(self, workspace):
         cache = workspace / "geocache"
@@ -989,10 +1015,16 @@ class TestBadInputFiles:
             ("evaluate", "--truth", b"location_id,task_id,raw_value\ntokyo_tower,running_amount,high\n", ":2: "),
             ("evaluate", "--truth", b"location_id,task_id,raw_value\ntokyo_tower,running_amount,\xff\n", ": "),
             ("evaluate", "--truth", None, ": "),
+            ("predict", "--dataset", b'{"id": "\xff"}\n', ": "),
+            ("ingest", "--dataset", b'{"id": "\xff"}\n', ": "),
+            ("evaluate", "--dataset", b'{"id": "\xff"}\n', ": "),
+            ("evaluate", "--predictions", b'{"location_id": "\xff"}\n', ": "),
         ],
         ids=[
             "dataset-bad-line", "dataset-missing", "predictions-bad-line",
             "truth-not-a-number", "truth-not-utf8", "truth-missing",
+            "predict-dataset-not-utf8", "ingest-dataset-not-utf8",
+            "evaluate-dataset-not-utf8", "predictions-not-utf8",
         ],
     )
     def test_bad_input_file_is_a_labelled_usage_error(

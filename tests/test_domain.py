@@ -63,7 +63,7 @@ class TestPair:
 
     def test_record_writes_dimension_and_level(self):
         record = make_record({"f": "x"}, dimension=Dimension.BUILT_ENVIRONMENTAL, level=Level.STREET)
-        doc = record.to_dict()
+        doc = record.to_dict("running_amount")
         assert list(doc) == ["location_id", "task_id", "dimension", "level", "status", "fields"]
         assert (doc["dimension"], doc["level"]) == ("built_environmental", "street")
         assert "pair" not in doc

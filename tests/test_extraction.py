@@ -257,7 +257,7 @@ class TestExtractReliable:
             extract_reliable(sample, factor_map, CassetteBackend(cassette)) for _ in range(2)
         ]
         as_json = lambda results: json.dumps(
-            {pair.label: pe.to_dict() for pair, pe in sorted(results.items(), key=str)},
+            {pair.label: pe.to_dict("running_amount") for pair, pe in sorted(results.items(), key=str)},
             sort_keys=True,
         )
         assert as_json(replays[0]) == as_json(replays[1]) == as_json(recorded)

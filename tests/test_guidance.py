@@ -20,7 +20,7 @@ from urbanmas.guidance import (
     summarize,
 )
 
-from conftest import DEEP_JSON, CtrlC
+from conftest import DEEP_JSON, ContextProbeBackend, CtrlC
 
 
 def _factors_json(n: int) -> str:
@@ -229,6 +229,16 @@ class TestGuide:
             guide(tasks, HeldBackend(), workers=workers)
         assert ctrl_c.started == ctrl_c.slots  # of 24 calls
 
+    def test_each_research_and_summary_sees_the_openers_context(self, task, opener_value):
+        backend = ContextProbeBackend()
+        guide([task], backend, workers=1)
+        # A summary is queued from the thread of its research, not the opener's.
+        kinds = {
+            ("research" if "research analyst" in system else "summary", value)
+            for system, value in backend.seen
+        }
+        assert kinds == {("research", opener_value), ("summary", opener_value)}
+
     def test_a_summary_takes_the_first_free_call_slot(self, monkeypatch):
         workers = 2
         slots = len(PAIRS) * workers
@@ -271,7 +281,7 @@ class TestGuide:
 
         backend = LockstepBackend()
 
-        class CountingPool(guidance.ThreadPoolExecutor):
+        class CountingPool(domain.ThreadPoolExecutor):
             """Tells the backend when a task is submitted and when it ends,
             and when the thread that opened the pool first waits for a result."""
 
@@ -300,7 +310,7 @@ class TestGuide:
 
         tasks = [builtin_task(t) for t in ("running_amount", "boringness", "liveliness")]
         expected = guide(tasks, MockBackend())
-        monkeypatch.setattr(guidance, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(domain, "ThreadPoolExecutor", CountingPool)
         assert guide(tasks, backend, workers=workers) == expected
         assert backend.call_count == 3 * 4 * 2
         # 12 researches and 12 summaries fill 8 slots in 3 rounds. A summary

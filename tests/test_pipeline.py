@@ -21,7 +21,7 @@ from urbanmas.pipeline import (
     write_similarity_log,
 )
 
-from conftest import FACTOR_NAMES, make_factor_set
+from conftest import FACTOR_NAMES, OPENER, ContextProbeBackend, make_factor_set
 
 
 @pytest.fixture
@@ -89,10 +89,11 @@ class TestPredictLocation:
 
     def test_no_reliability_refuses_another_tasks_extraction(self, sample, task, factor_map):
         other = builtin_task("liveliness")
-        other_map = {(d, r): make_factor_set(other.id, d, r) for d, r in PAIRS}
+        names = tuple(f"{name} at night" for name in FACTOR_NAMES)
+        other_map = {(d, r): make_factor_set(other.id, d, r, names) for d, r in PAIRS}
         pairs = predict_location(sample, other, "full", MockBackend(), factor_map=other_map).pairs
         backend = MockBackend()
-        with pytest.raises(ConfigError, match="liveliness"):
+        with pytest.raises(ConfigError, match="street lighting at night"):
             predict_location(
                 sample, task, "no_reliability", backend, factor_map=factor_map, pairs=pairs
             )
@@ -109,6 +110,24 @@ class TestRunPredictions:
         assert keys == sorted(keys)
         assert len(keys) == len(dataset) * 2
         assert not outcome.failures
+
+    def test_each_job_sees_the_openers_context(self, dataset, task, factor_map, opener_value):
+        tasks = [task, builtin_task("liveliness")]
+        seen = {}
+
+        def on_job_end(run):
+            pred = run.prediction
+            seen[pred.location_id, pred.task_id, pred.variant] = OPENER.get()
+
+        backend = ContextProbeBackend()
+        outcome = run_predictions(
+            dataset, tasks, VARIANTS, backend, {t.id: factor_map for t in tasks},
+            workers=1, on_job_end=on_job_end,
+        )
+        assert not outcome.failures
+        assert len(seen) == len(dataset) * len(tasks) * len(VARIANTS)
+        assert set(seen.values()) == {opener_value}
+        assert {value for _system, value in backend.seen} == {opener_value}
 
     def test_missing_factor_maps_fail_fast(self, dataset, task):
         with pytest.raises(ConfigError, match="factor maps"):
