@@ -28,6 +28,7 @@ import glob
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -408,8 +409,8 @@ class RateLimiter:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if requests_per_minute <= 0:
-            raise ValueError("requests_per_minute must be positive")
+        if not 0 < requests_per_minute < math.inf:
+            raise ValueError("requests_per_minute must be positive and finite")
         self._rate = requests_per_minute / 60.0
         self._capacity = max(1.0, self._rate)
         self._tokens = self._capacity

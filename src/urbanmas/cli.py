@@ -18,6 +18,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import shutil
 import sys
@@ -93,18 +94,19 @@ class RunConfig:
         if self.record_source not in ("live", "mock"):
             raise ConfigError(f"record_source: must be 'live' or 'mock', got {self.record_source!r}")
         # Exact types: a JSON true or false loads as a bool, a subclass of int.
+        # A JSON NaN or Infinity loads as a float; no setting accepts one.
         for key in ("workers", "poi_limit"):
             value = getattr(self, key)
             if type(value) is not int or value < 1:
                 raise ConfigError(f"{key}: must be an integer >= 1, got {value!r}")
         for key in ("poi_radius_m", "requests_per_minute"):
             value = getattr(self, key)
-            if type(value) not in (int, float) or value <= 0:
-                raise ConfigError(f"{key}: must be a number > 0, got {value!r}")
+            if type(value) not in (int, float) or not math.isfinite(value) or value <= 0:
+                raise ConfigError(f"{key}: must be a finite number > 0, got {value!r}")
         for key in ("temperature", "top_p"):
             value = getattr(self, key)
-            if value is not None and type(value) not in (int, float):
-                raise ConfigError(f"{key}: must be a number or null, got {value!r}")
+            if value is not None and (type(value) not in (int, float) or not math.isfinite(value)):
+                raise ConfigError(f"{key}: must be a finite number or null, got {value!r}")
         bad_ids = [t for t in self.tasks if not isinstance(t, str)]
         if bad_ids:
             raise ConfigError(f"tasks: task ids must be strings, got {bad_ids}")

@@ -133,8 +133,8 @@ class PoiEntry:
     distance_m: float
 
     def __post_init__(self) -> None:
-        if self.distance_m < 0:
-            raise ValueError("distance_m must be nonnegative")
+        if not 0 <= self.distance_m < math.inf:
+            raise ValueError(f"distance_m must be finite and nonnegative, got {self.distance_m}")
 
     def to_dict(self) -> dict:
         return {"name": self.name, "category": self.category, "distance_m": self.distance_m}
@@ -357,7 +357,6 @@ class PredictiveFactor:
 class FactorSet:
     """The predictive factors guiding extraction for one pair."""
 
-    task_id: str
     pair: Pair
     factors: tuple[PredictiveFactor, ...]
 

@@ -1,10 +1,12 @@
 """Per-location urban-information extraction aligned to the guided factors.
 
 For each of the four pairs (:class:`~urbanmas.domain.Pair`) an extractor
-prompt is built from the location context and the pair's factor set, two
-variants are requested (variant seeds 0 and 1), and the reliability layer
+request is built from the location context and the pair's factor set at
+variant seed 0. Two variants are requested (seeds 0 and 1; seed 1 and any
+re-ask are that request with one field replaced), and the reliability layer
 settles them into one record, regenerating only conflicting fields through
-a field-targeted refiner call.
+a field-targeted refiner call. The audit's ``"prompt"`` of a pair is the
+seed-0 request.
 """
 
 from __future__ import annotations
@@ -41,18 +43,6 @@ _DIMENSION_WORDING = {
 }
 
 
-@dataclass(frozen=True)
-class ExtractionPrompt:
-    """Rendered extractor prompt for one (location, pair)."""
-
-    system: str
-    user: str
-    image_refs: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {"system": self.system, "user": self.user, "image_refs": list(self.image_refs)}
-
-
 def location_context(sample: LocationSample) -> str:
     """Deterministic textual rendering of a sample's resolved context."""
     lines = [
@@ -69,8 +59,8 @@ def location_context(sample: LocationSample) -> str:
     return "\n".join(lines)
 
 
-def build_prompt(sample: LocationSample, fs: FactorSet, context: str) -> ExtractionPrompt:
-    """Render the extractor prompt for one factor set.
+def build_prompt(sample: LocationSample, fs: FactorSet, context: str) -> ChatRequest:
+    """Render the extractor request for one factor set, at variant seed 0.
 
     ``context`` is the sample's ``location_context``. Rendering is
     deterministic (stable field order). Street-level prompts carry the
@@ -92,8 +82,12 @@ def build_prompt(sample: LocationSample, fs: FactorSet, context: str) -> Extract
         f"Each value must be a short factual description (at most "
         f"{MAX_FIELD_CHARS} characters) of that factor at this location."
     )
-    image_refs = sample.streetview_refs if fs.pair.level is Level.STREET else ()
-    return ExtractionPrompt(system=system, user=user, image_refs=tuple(image_refs))
+    return ChatRequest(
+        system_prompt=system,
+        user_prompt=user,
+        image_refs=sample.streetview_refs if fs.pair.level is Level.STREET else (),
+        response_format="structured_object",
+    )
 
 
 def _parse_variant(text: str, fs: FactorSet) -> tuple[dict[str, str], list[str]]:
@@ -115,28 +109,21 @@ def _request_variant(
     sample: LocationSample,
     fs: FactorSet,
     backend: ChatBackend,
-    prompt: ExtractionPrompt,
+    prompt: ChatRequest,
     seed: int,
 ) -> dict[str, str]:
-    """One extractor call plus at most one re-ask for unusable output."""
+    """One extractor call at ``seed`` plus at most one re-ask for unusable output."""
     agent = fs.pair.label
+    request = replace(prompt, variant_seed=seed)
     problem = ""
     for attempt in range(2):
-        user = prompt.user
         if problem:
-            user += (
+            reask = (
                 f"\n\nYour previous response was unusable: {problem}. "
                 "Return the complete JSON object with exactly the required keys."
             )
-        resp = backend.complete(
-            ChatRequest(
-                system_prompt=prompt.system,
-                user_prompt=user,
-                image_refs=prompt.image_refs,
-                response_format="structured_object",
-                variant_seed=seed,
-            )
-        )
+            request = replace(request, user_prompt=prompt.user_prompt + reask)
+        resp = backend.complete(request)
         try:
             values, missing = _parse_variant(resp.text, fs)
         except ValueError as exc:
@@ -168,7 +155,7 @@ def extract_variants(
     sample: LocationSample,
     fs: FactorSet,
     backend: ChatBackend,
-    prompt: ExtractionPrompt,
+    prompt: ChatRequest,
 ) -> tuple[UrbanInfoRecord, UrbanInfoRecord]:
     """Request the two independent extraction variants (seeds 0 and 1)."""
     values_a = _request_variant(sample, fs, backend, prompt, seed=0)
@@ -204,9 +191,10 @@ def _refine_fn(context: str, fs: FactorSet, backend: ChatBackend):
 
 @dataclass(frozen=True)
 class PairExtraction:
-    """Everything produced for one pair, for the audit trail."""
+    """Everything produced for one pair, for the audit trail. ``prompt`` is
+    the seed-0 extractor request."""
 
-    prompt: ExtractionPrompt
+    prompt: ChatRequest
     variant_a: UrbanInfoRecord
     variant_b: UrbanInfoRecord | None
     report: SimilarityReport | None
@@ -224,7 +212,11 @@ class PairExtraction:
 
     def to_dict(self, task_id: str) -> dict:
         return {
-            "prompt": self.prompt.to_dict(),
+            "prompt": {
+                "system": self.prompt.system_prompt,
+                "user": self.prompt.user_prompt,
+                "image_refs": list(self.prompt.image_refs),
+            },
             "variant_a": self.variant_a.to_dict(task_id),
             "variant_b": self.variant_b.to_dict(task_id) if self.variant_b else None,
             "similarity": self.report.to_dict() if self.report else None,

@@ -3,15 +3,18 @@ or built environment) and a level (macro or street), then summarize into
 validated six-factor sets.
 
 The layer is a two-call protocol against the chat backend: a research
-prompt produces a brief per pair, and a summary prompt compresses it into
-exactly ``FACTORS_PER_SET`` (six) named, described factors. Factor sets
-that fail validation are re-requested with the violation list quoted back.
+prompt produces a brief per pair (its text), and a summary prompt compresses
+it into exactly ``FACTORS_PER_SET`` (six) named, described factors. Factor
+sets that fail validation are re-requested with the violation list quoted
+back. A factor set is its pair and its factors; it names no task.
 :func:`guide` takes every task of a run at once: the research and summary
 calls of all uncached (task, pair) combinations share one worker pool, and
 each summary is queued on it as soon as its research ends, so a
 latency-bound backend sees as many calls in flight as in ``predict``.
 Results are cached to disk per task so extraction runs never re-research,
-and a task that failed does not stop the others from being cached.
+and a task that failed does not stop the others from being cached. The
+``no_factors`` ablation's map, :data:`NO_FACTORS_MAP`, is one read-only
+module constant for every task.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import hashlib
 import json
 import logging
 from concurrent.futures import Future
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from . import domain
 from .backend import ChatBackend, ChatRequest
@@ -63,19 +66,6 @@ _LEVEL_FRAMING = {
 }
 
 
-@dataclass(frozen=True)
-class ResearchReport:
-    """Research brief for one pair of one task."""
-
-    task_id: str
-    pair: Pair
-    body: str
-
-    def __post_init__(self) -> None:
-        if not self.body.strip():
-            raise ValueError("report body must be nonempty")
-
-
 def _count_word(n: int) -> str:
     words = "zero one two three four five six seven eight nine ten eleven twelve".split()
     return words[n] if 0 <= n < len(words) else str(n)
@@ -98,8 +88,8 @@ def _research_request(task: TaskSpec, pair: Pair, seed: int) -> ChatRequest:
     return ChatRequest(system_prompt=system, user_prompt=user, variant_seed=seed)
 
 
-def research(task: TaskSpec, pair: Pair, backend: ChatBackend) -> ResearchReport:
-    """Produce the research brief for one pair.
+def research(task: TaskSpec, pair: Pair, backend: ChatBackend) -> str:
+    """Produce the research brief for one pair: its stripped text.
 
     Short responses are considered degenerate and retried with a fresh
     generation slot, up to ``RESEARCH_RETRIES`` times.
@@ -110,7 +100,7 @@ def research(task: TaskSpec, pair: Pair, backend: ChatBackend) -> ResearchReport
         body = resp.text.strip()
         last_len = len(body)
         if last_len >= MIN_REPORT_CHARS:
-            return ResearchReport(task_id=task.id, pair=pair, body=body)
+            return body
         logger.warning(
             "degenerate report for %s (%d chars < %d), attempt %d",
             pair.label, last_len, MIN_REPORT_CHARS, attempt + 1,
@@ -122,7 +112,7 @@ def research(task: TaskSpec, pair: Pair, backend: ChatBackend) -> ResearchReport
 
 
 def _summary_request(
-    task: TaskSpec, report: ResearchReport, feedback: str, seed: int
+    task: TaskSpec, pair: Pair, brief: str, feedback: str, seed: int
 ) -> ChatRequest:
     system = (
         "You distill urban research briefs into structured sets of "
@@ -130,8 +120,8 @@ def _summary_request(
     )
     user = (
         f"Prediction task: {task.description}\n"
-        f"Research brief for {_DIMENSION_FRAMING[report.pair.dimension]} at "
-        f"{_LEVEL_FRAMING[report.pair.level]}:\n\n{report.body}\n\n"
+        f"Research brief for {_DIMENSION_FRAMING[pair.dimension]} at "
+        f"{_LEVEL_FRAMING[pair.level]}:\n\n{brief}\n\n"
         'Respond with a JSON object of the form {"factors": [{"name": "...", '
         f'"description": "..."}}]}} containing exactly {domain.FACTORS_PER_SET} factors. '
         "Names must be short distinct noun phrases; each description is one measurable sentence."
@@ -144,15 +134,11 @@ def _summary_request(
     )
 
 
-def summarize(
-    report: ResearchReport,
-    task: TaskSpec,
-    backend: ChatBackend,
-) -> FactorSet:
-    """Compress a research brief into a validated six-factor set."""
+def summarize(task: TaskSpec, pair: Pair, brief: str, backend: ChatBackend) -> FactorSet:
+    """Compress one pair's research brief into a validated six-factor set."""
     feedback = ""
     for attempt in range(1 + SUMMARY_RETRIES):
-        resp = backend.complete(_summary_request(task, report, feedback, seed=attempt))
+        resp = backend.complete(_summary_request(task, pair, brief, feedback, seed=attempt))
         try:
             payload = extract_json_object(resp.text)
             raw_factors = payload.get("factors", [])
@@ -170,14 +156,14 @@ def summarize(
             feedback = f"response was not a usable JSON object ({exc})"
             logger.warning("summary attempt %d unparseable: %s", attempt + 1, exc)
             continue
-        fs = FactorSet(task_id=report.task_id, pair=report.pair, factors=factors)
+        fs = FactorSet(pair=pair, factors=factors)
         violations = validate_factor_set(fs)
         if not violations:
             return fs
         feedback = "; ".join(violations)
         logger.warning("summary attempt %d rejected: %s", attempt + 1, feedback)
     raise InvalidFactorSetError(
-        f"{report.pair.label}: no valid factor set "
+        f"{pair.label}: no valid factor set "
         f"after {1 + SUMMARY_RETRIES} attempts (last: {feedback})"
     )
 
@@ -202,7 +188,7 @@ def guide(
     summary (retries included) on the same pool, behind the researches
     still waiting, so no thread idles while a call is ready. Each task
     whose four pairs succeed is cached whole to its own
-    file (factor sets plus report bodies) before any failure is raised;
+    file (factor sets plus research briefs) before any failure is raised;
     then one :class:`GuidanceError` names every failing pair as
     ``<task>/<pair>``. An interrupt starts no call still queued.
     """
@@ -216,13 +202,11 @@ def guide(
     }
     todo = [task for task in tasks if task.id not in factor_maps]
 
-    def research_then_queue_summary(
-        task: TaskSpec, pair: Pair
-    ) -> tuple[ResearchReport, Future[FactorSet]]:
-        report = research(task, pair, backend)
-        return report, submit(summarize, report, task, backend)
+    def research_then_queue_summary(task: TaskSpec, pair: Pair) -> tuple[str, Future[FactorSet]]:
+        brief = research(task, pair, backend)
+        return brief, submit(summarize, task, pair, brief, backend)
 
-    results: dict[tuple[str, Pair], tuple[ResearchReport, FactorSet]] = {}
+    results: dict[tuple[str, Pair], tuple[str, FactorSet]] = {}
     errors, failed = [], set()
     with worker_pool(len(PAIRS) * workers) as submit:
         futures = {
@@ -232,8 +216,8 @@ def guide(
         }
         for (task_id, pair), future in futures.items():
             try:
-                report, summary = future.result()
-                results[task_id, pair] = report, summary.result()
+                brief, summary = future.result()
+                results[task_id, pair] = brief, summary.result()
             except Exception as exc:
                 errors.append(f"{task_id}/{pair.label}: {exc}")
                 failed.add(task_id)
@@ -242,8 +226,8 @@ def guide(
             continue
         factor_maps[task.id] = {pair: results[task.id, pair][1] for pair in PAIRS}
         if task.id in paths:
-            reports = {pair: results[task.id, pair][0].body for pair in PAIRS}
-            save_factor_cache(paths[task.id], task, factor_maps[task.id], reports)
+            briefs = {pair: results[task.id, pair][0] for pair in PAIRS}
+            save_factor_cache(paths[task.id], task, factor_maps[task.id], briefs)
     if errors:
         raise GuidanceError("; ".join(errors))
     return {task.id: factor_maps[task.id] for task in tasks}
@@ -255,8 +239,10 @@ def _prompt_sha256(task: TaskSpec) -> str:
     placeholder brief with no feedback, and ``FACTORS_PER_SET``."""
     parts: list[object] = []
     for pair in PAIRS:
-        brief = ResearchReport(task_id=task.id, pair=pair, body="<research brief>")
-        for req in (_research_request(task, pair, seed=0), _summary_request(task, brief, "", seed=0)):
+        for req in (
+            _research_request(task, pair, seed=0),
+            _summary_request(task, pair, "<research brief>", "", seed=0),
+        ):
             parts += [req.system_prompt, req.user_prompt]
     parts.append(domain.FACTORS_PER_SET)
     return hashlib.sha256(json.dumps(parts).encode("utf-8")).hexdigest()
@@ -313,7 +299,7 @@ def load_factor_cache(path: str | Path, task: TaskSpec) -> FactorMap:
         )
     factor_map: FactorMap = {}
     for pair, factors in pairs:
-        fs = FactorSet(task_id=task.id, pair=pair, factors=factors)
+        fs = FactorSet(pair=pair, factors=factors)
         violations = validate_factor_set(fs)
         if violations:
             raise GuidanceError(f"factor cache {path} invalid for {pair.label}: {violations}")
@@ -325,7 +311,7 @@ def load_factor_cache(path: str | Path, task: TaskSpec) -> FactorMap:
 
 
 # Fixed placeholder factors for the no_factors ablation: the guided factor
-# sets are replaced with this generic six-factor set for every pair.
+# sets are replaced with this generic six-factor set for every pair of every task.
 GENERIC_FACTORS: tuple[PredictiveFactor, ...] = (
     PredictiveFactor("overall character", "General impression of the area around the location."),
     PredictiveFactor("activity level", "How much human activity is visible or expected."),
@@ -335,7 +321,6 @@ GENERIC_FACTORS: tuple[PredictiveFactor, ...] = (
     PredictiveFactor("environment quality", "Perceived quality of the physical surroundings."),
 )
 
-
-def generic_factor_map(task: TaskSpec) -> FactorMap:
-    """The no_factors ablation map: the same generic set for all four pairs."""
-    return {pair: FactorSet(task_id=task.id, pair=pair, factors=GENERIC_FACTORS) for pair in PAIRS}
+NO_FACTORS_MAP: Mapping[Pair, FactorSet] = MappingProxyType(
+    {pair: FactorSet(pair=pair, factors=GENERIC_FACTORS) for pair in PAIRS}
+)

@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .backend import ChatBackend
 from .domain import (
+    FactorSet,
     LocationSample,
     PAIRS,
     Pair,
@@ -43,7 +44,7 @@ from .domain import (
 )
 from .errors import ConfigError
 from .extraction import PairExtraction, extract_reliable
-from .guidance import FactorMap, generic_factor_map
+from .guidance import NO_FACTORS_MAP, FactorMap
 from .inference import build_inference_prompt, infer, infer_single_llm
 
 logger = logging.getLogger(__name__)
@@ -99,7 +100,7 @@ def predict_location(
     task: TaskSpec,
     variant: str,
     backend: ChatBackend,
-    factor_map: FactorMap | None = None,
+    factor_map: Mapping[Pair, FactorSet] | None = None,
     pairs: Mapping[Pair, PairExtraction] | None = None,
     prediction: PredictionOutput | None = None,
 ) -> LocationRun:
@@ -132,7 +133,7 @@ def predict_location(
         return LocationRun(prediction=infer_single_llm(task, sample, backend))
 
     if variant == "no_factors":
-        factor_map = generic_factor_map(task)
+        factor_map = NO_FACTORS_MAP
     elif factor_map is None:
         raise ConfigError(f"variant {variant!r} needs a guided factor map for task {task.id!r}")
 

@@ -162,13 +162,11 @@ def geocache_dir(tmp_path: Path) -> Path:
 
 
 def make_factor_set(
-    task_id: str = "running_amount",
     dimension: Dimension = Dimension.SOCIAL,
     level: Level = Level.MACRO,
     names: tuple[str, ...] = FACTOR_NAMES,
 ) -> FactorSet:
     return FactorSet(
-        task_id=task_id,
         pair=Pair(dimension, level),
         factors=tuple(
             PredictiveFactor(name, f"Measurable description of {name}.") for name in names

@@ -482,6 +482,12 @@ class TestRateLimiter:
         with pytest.raises(ValueError):
             RateLimiter(0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_rejects_a_rate_that_is_not_finite(self, rate):
+        # NaN would never sleep, so the limit would be silently off.
+        with pytest.raises(ValueError, match="finite"):
+            RateLimiter(rate)
+
 
 def _ok_body(text: str = "hello") -> str:
     return json.dumps({"choices": [{"message": {"content": text}}]})

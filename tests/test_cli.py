@@ -142,6 +142,12 @@ class TestRunConfig:
             ({"temperature": "hot"}, "temperature"),
             ({"top_p": [1]}, "top_p"),
             ({"temperature": False}, "temperature"),
+            ({"poi_radius_m": float("nan")}, "poi_radius_m"),
+            ({"poi_radius_m": float("inf")}, "poi_radius_m"),
+            ({"requests_per_minute": float("nan")}, "requests_per_minute"),
+            ({"requests_per_minute": float("inf")}, "requests_per_minute"),
+            ({"temperature": float("nan")}, "temperature"),
+            ({"top_p": float("-inf")}, "top_p"),
         ],
         ids=[
             "task-without-description", "workers-not-a-number", "variants-not-a-list",
@@ -149,12 +155,15 @@ class TestRunConfig:
             "radius-not-a-number", "poi-limit-zero", "rate-not-a-number", "task-id-not-a-string",
             "workers-a-boolean", "poi-limit-a-boolean", "radius-a-boolean", "rate-a-boolean",
             "temperature-a-string", "top-p-a-list", "temperature-a-boolean",
+            "radius-nan", "radius-infinity", "rate-nan", "rate-infinity", "temperature-nan",
+            "top-p-minus-infinity",
         ],
     )
     def test_malformed_config_value_is_a_labelled_usage_error(self, tmp_path, capsys, doc, key):
         config = tmp_path / "run.json"
         config.write_text(json.dumps(doc))
-        assert run_cli("factors", "--config", str(config), "--out", str(tmp_path / "out")) == 2
+        out = ["--out", str(tmp_path / "out"), "--factor-dir", str(tmp_path / "factors")]
+        assert run_cli("factors", "--config", str(config), *out) == 2
         err = capsys.readouterr().err
         assert f"error: {config}: {key}: " in err
         assert "Traceback" not in err
@@ -1005,6 +1014,13 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+def _sample_with_poi_distance(distance: bytes) -> bytes:
+    """A valid sample line, then a sample whose one POI is ``distance`` metres away."""
+    good = (FIXTURES / "samples.jsonl").read_bytes().splitlines()[0]
+    poi = b'{"name": "kiosk", "category": "shop:kiosk", "distance_m": ' + distance + b"}"
+    return good + b'\n{"id": "far_kiosk", "lat": 1.0, "lon": 2.0, "pois": [' + poi + b"]}\n"
+
+
 class TestBadInputFiles:
     @pytest.mark.parametrize(
         "command, flag, content, where",
@@ -1019,12 +1035,18 @@ class TestBadInputFiles:
             ("ingest", "--dataset", b'{"id": "\xff"}\n', ": "),
             ("evaluate", "--dataset", b'{"id": "\xff"}\n', ": "),
             ("evaluate", "--predictions", b'{"location_id": "\xff"}\n', ": "),
+            ("predict", "--dataset", _sample_with_poi_distance(b"NaN"), ":2: "),
+            ("predict", "--dataset", _sample_with_poi_distance(b"Infinity"), ":2: "),
+            ("ingest", "--dataset", _sample_with_poi_distance(b"NaN"), ":2: "),
+            ("ingest", "--dataset", _sample_with_poi_distance(b"Infinity"), ":2: "),
         ],
         ids=[
             "dataset-bad-line", "dataset-missing", "predictions-bad-line",
             "truth-not-a-number", "truth-not-utf8", "truth-missing",
             "predict-dataset-not-utf8", "ingest-dataset-not-utf8",
             "evaluate-dataset-not-utf8", "predictions-not-utf8",
+            "predict-poi-distance-nan", "predict-poi-distance-infinity",
+            "ingest-poi-distance-nan", "ingest-poi-distance-infinity",
         ],
     )
     def test_bad_input_file_is_a_labelled_usage_error(
@@ -1042,7 +1064,9 @@ class TestBadInputFiles:
         if command == "evaluate":
             files["--predictions"] = predictions
         files[flag] = bad
-        argv = [command, "--out", str(workspace / "out")]
+        # Should a bad file load, the run stays in the workspace and off the network.
+        argv = [command, "--out", str(workspace / "out"), "--offline", "--factor-dir",
+                str(workspace / "factors"), "--cache-dir", str(workspace / "geocache")]
         for name, path in files.items():
             argv += [name, str(path)]
         assert run_cli(*argv) == 2

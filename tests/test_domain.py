@@ -141,7 +141,6 @@ class TestValidateFactorSet:
 
     def test_empty_name_and_description_reported(self):
         fs = FactorSet(
-            task_id="t",
             pair=Pair(Dimension.SOCIAL, Level.MACRO),
             factors=tuple(
                 [PredictiveFactor("", "desc")]
@@ -153,7 +152,7 @@ class TestValidateFactorSet:
         assert any("empty description" in v for v in violations)
 
     def test_never_raises_on_garbage(self):
-        fs = FactorSet(task_id="t", pair=Pair(Dimension.SOCIAL, Level.MACRO), factors=())
+        fs = FactorSet(pair=Pair(Dimension.SOCIAL, Level.MACRO), factors=())
         assert validate_factor_set(fs)  # violations, not an exception
 
 

@@ -44,7 +44,7 @@ class TestBuildPrompt:
     def test_user_prompt_contains_all_factor_names(self, sample):
         prompt = _prompt(sample, make_factor_set())
         for name in FACTOR_NAMES:
-            assert name in prompt.user
+            assert name in prompt.user_prompt
 
     def test_macro_prompts_never_carry_imagery(self, sample):
         fs = make_factor_set(level=Level.MACRO)
@@ -62,10 +62,10 @@ class TestBuildPrompt:
         )
         prompt = _prompt(replace(sample, pois=pois), make_factor_set())
         names = [f"poi {i:02d}" for i in range(1, PROMPT_POI_LIMIT + 1)]
-        assert [prompt.user.index(f"- {n} (") for n in names] == sorted(
-            prompt.user.index(f"- {n} (") for n in names
+        assert [prompt.user_prompt.index(f"- {n} (") for n in names] == sorted(
+            prompt.user_prompt.index(f"- {n} (") for n in names
         )
-        assert f"poi {PROMPT_POI_LIMIT + 1:02d}" not in prompt.user
+        assert f"poi {PROMPT_POI_LIMIT + 1:02d}" not in prompt.user_prompt
 
 
 class TestOneContextPath:

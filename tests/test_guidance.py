@@ -10,9 +10,8 @@ from urbanmas.domain import Dimension, Level, PAIRS, Pair, TaskSpec, builtin_tas
 from urbanmas.errors import DegenerateReportError, GuidanceError, InvalidFactorSetError
 from urbanmas.guidance import (
     GENERIC_FACTORS,
-    ResearchReport,
+    NO_FACTORS_MAP,
     factor_cache_path,
-    generic_factor_map,
     guide,
     load_factor_cache,
     research,
@@ -36,9 +35,9 @@ def _factors_json(n: int) -> str:
 
 class TestResearch:
     def test_mock_report_names_at_least_six_factors(self, task):
-        report = research(task, Pair(Dimension.SOCIAL, Level.MACRO), MockBackend())
-        assert len(report.body) >= 400
-        numbered = re.findall(r"^\s*\d+\.\s", report.body, re.MULTILINE)
+        brief = research(task, Pair(Dimension.SOCIAL, Level.MACRO), MockBackend())
+        assert len(brief) >= 400
+        numbered = re.findall(r"^\s*\d+\.\s", brief, re.MULTILINE)
         assert len(numbered) >= 6
 
     def test_empty_responses_exhaust_retries(self, task):
@@ -53,8 +52,8 @@ class TestResearch:
         long_body = "1. factor: text\n" + "x" * 500
         backend.add_rule(lambda r: r.variant_seed == 0, "too short")
         backend.add_rule(lambda r: r.variant_seed == 1, long_body)
-        report = research(task, Pair(Dimension.SOCIAL, Level.STREET), backend)
-        assert report.body == long_body
+        brief = research(task, Pair(Dimension.SOCIAL, Level.STREET), backend)
+        assert brief == long_body
         assert backend.call_count == 2
 
     def test_replay_runs_are_identical(self, task, tmp_path):
@@ -64,24 +63,17 @@ class TestResearch:
         replay = CassetteBackend(cassette)
         second = research(task, Pair(Dimension.SOCIAL, Level.MACRO), replay)
         third = research(task, Pair(Dimension.SOCIAL, Level.MACRO), replay)
-        assert first.body == second.body == third.body
-
-    def test_report_body_must_be_nonempty(self):
-        with pytest.raises(ValueError):
-            ResearchReport(task_id="t", pair=Pair(Dimension.SOCIAL, Level.MACRO), body=" ")
+        assert first == second == third
 
 
-def _report(task) -> ResearchReport:
-    return ResearchReport(
-        task_id=task.id,
-        pair=Pair(Dimension.SOCIAL, Level.MACRO),
-        body="1. population density: residents per square km.\n" + "evidence " * 60,
-    )
+def _summarize(task, backend):
+    brief = "1. population density: residents per square km.\n" + "evidence " * 60
+    return summarize(task, Pair(Dimension.SOCIAL, Level.MACRO), brief, backend)
 
 
 class TestSummarize:
     def test_mock_fixture_yields_six_described_factors(self, task):
-        fs = summarize(_report(task), task, MockBackend())
+        fs = _summarize(task, MockBackend())
         assert validate_factor_set(fs) == []
         assert len(fs.factors) == 6
         assert all(f.description for f in fs.factors)
@@ -92,7 +84,7 @@ class TestSummarize:
             lambda r: "rejected" not in r.user_prompt, _factors_json(5)
         )
         backend.add_rule(lambda r: "rejected" in r.user_prompt, _factors_json(6))
-        fs = summarize(_report(task), task, backend)
+        fs = _summarize(task, backend)
         assert len(fs.factors) == 6
         assert backend.call_count == 2
 
@@ -100,14 +92,14 @@ class TestSummarize:
         backend = MockBackend()
         backend.add_rule(lambda r: True, _factors_json(5))
         with pytest.raises(InvalidFactorSetError, match="count=5"):
-            summarize(_report(task), task, backend)
+            _summarize(task, backend)
         assert backend.call_count == 3
 
     def test_retries_through_the_store_are_new_generations(self, task):
         answers = [_factors_json(5), _factors_json(5), _factors_json(6)]
         inner = MockBackend()
         inner.add_rule(lambda r: True, lambda r: answers.pop(0))
-        fs = summarize(_report(task), task, CassetteBackend(None, inner))
+        fs = _summarize(task, CassetteBackend(None, inner))
         assert len(fs.factors) == 6
         assert inner.call_count == 3
 
@@ -115,7 +107,7 @@ class TestSummarize:
         backend = MockBackend()
         backend.add_rule(lambda r: "rejected" not in r.user_prompt, "not json at all")
         backend.add_rule(lambda r: "rejected" in r.user_prompt, _factors_json(6))
-        fs = summarize(_report(task), task, backend)
+        fs = _summarize(task, backend)
         assert len(fs.factors) == 6
 
     @pytest.mark.parametrize(
@@ -130,7 +122,7 @@ class TestSummarize:
         backend = MockBackend()
         backend.add_rule(lambda r: problem in r.user_prompt, _factors_json(6))
         backend.add_rule(lambda r: True, answer)
-        fs = summarize(_report(task), task, backend)
+        fs = _summarize(task, backend)
         assert len(fs.factors) == 6
         assert backend.call_count == 2
 
@@ -171,8 +163,8 @@ class TestGuide:
         assert all(len(fs.factors) == 5 for fs in factor_map.values())
         assert len(asked) == 4
         assert all("the five most influential predictive factors" in user for user in asked)
-        report = research(task, Pair(Dimension.SOCIAL, Level.MACRO), MockBackend())
-        assert len(re.findall(r"^\s*\d+\.\s", report.body, re.MULTILINE)) == 5
+        brief = research(task, Pair(Dimension.SOCIAL, Level.MACRO), MockBackend())
+        assert len(re.findall(r"^\s*\d+\.\s", brief, re.MULTILINE)) == 5
 
     def test_cache_round_trip_is_identical(self, task, tmp_path):
         first = guide([task], MockBackend(), factor_dir=tmp_path)[task.id]
@@ -424,8 +416,8 @@ class TestGuide:
 
 
 class TestGenericFactors:
-    def test_placeholder_map_covers_all_pairs_and_validates(self, task):
-        placeholder = generic_factor_map(task)
+    def test_placeholder_map_covers_all_pairs_and_validates(self):
+        placeholder = NO_FACTORS_MAP
         assert set(placeholder) == set(PAIRS)
         assert len(GENERIC_FACTORS) == domain.FACTORS_PER_SET
         for fs in placeholder.values():

@@ -90,7 +90,7 @@ class TestPredictLocation:
     def test_no_reliability_refuses_another_tasks_extraction(self, sample, task, factor_map):
         other = builtin_task("liveliness")
         names = tuple(f"{name} at night" for name in FACTOR_NAMES)
-        other_map = {(d, r): make_factor_set(other.id, d, r, names) for d, r in PAIRS}
+        other_map = {(d, r): make_factor_set(d, r, names) for d, r in PAIRS}
         pairs = predict_location(sample, other, "full", MockBackend(), factor_map=other_map).pairs
         backend = MockBackend()
         with pytest.raises(ConfigError, match="street lighting at night"):
@@ -320,7 +320,7 @@ class TestRunKeepsNoTranscript:
         monkeypatch.setattr(pipeline, "predict_location", tracked)
         tasks = [task, builtin_task("boringness"), builtin_task("liveliness")]
         factor_maps = {
-            t.id: {(d, r): make_factor_set(t.id, d, r) for d, r in PAIRS} for t in tasks
+            t.id: {(d, r): make_factor_set(d, r) for d, r in PAIRS} for t in tasks
         }
         outcome = run_predictions(
             dataset, tasks, VARIANTS, MockBackend(), factor_maps=factor_maps, workers=workers,
@@ -331,6 +331,32 @@ class TestRunKeepsNoTranscript:
         # One transcript per pool thread at most: the one whose job just ended.
         assert max(alive_at_job_end) <= len(PAIRS) * workers
         assert [ref for ref in refs if ref() is not None] == []
+
+
+class TestAuditDoc:
+    @pytest.mark.parametrize("variant", ["full", "no_factors", "no_reliability"])
+    def test_each_pairs_prompt_is_the_seed_0_request_sent(self, sample, task, factor_map, variant):
+        sent = []
+        backend = MockBackend()
+        backend.add_rule(lambda req: sent.append(req), "")  # notes every request, answers none
+        backend.add_rule(  # one pair re-asks; its prompt is still the first request
+            lambda req: "social dimension at the street level" in req.system_prompt
+            and req.variant_seed == 0 and "unusable" not in req.user_prompt,
+            "not json",
+        )
+        doc = predict_location(sample, task, variant, backend, factor_map=factor_map).audit_doc()
+        firsts = [
+            r for r in sent
+            if "exactly these keys" in r.user_prompt and "unusable" not in r.user_prompt
+            and r.variant_seed == 0
+        ]
+        assert any("unusable" in r.user_prompt for r in sent)
+        assert [doc["pairs"][pair.label]["prompt"] for pair in PAIRS] == [
+            {"system": r.system_prompt, "user": r.user_prompt, "image_refs": list(r.image_refs)}
+            for r in firsts
+        ]
+        street = [pair.level.value == "street" for pair in PAIRS]
+        assert [bool(r.image_refs) for r in firsts] == street
 
 
 class TestRunArtifacts:
