@@ -34,6 +34,9 @@ class Dimension(Enum):
 
     SOCIAL = "social"
     BUILT_ENVIRONMENTAL = "built_environmental"
+    # Members compare by identity, so the C-level identity hash serves, where
+    # Enum.__hash__ is a Python call on every lookup keyed by a pair.
+    __hash__ = object.__hash__
 
 
 class Level(Enum):
@@ -41,6 +44,7 @@ class Level(Enum):
 
     MACRO = "macro"
     STREET = "street"
+    __hash__ = object.__hash__
 
 
 class Pair(NamedTuple):
@@ -201,21 +205,33 @@ class LocationSample:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "LocationSample":
+        address, refs = data.get("address"), data.get("streetview_refs", [])
+        if not (address is None or isinstance(address, str)):
+            raise TypeError(f"address must be a string or null, not {address!r}")
+        if not (isinstance(refs, list) and all(isinstance(ref, str) for ref in refs)):
+            raise TypeError(f"streetview_refs must be a list of strings, not {refs!r}")
         return cls(
             id=str(data["id"]),
             latitude=float(data["lat"]),
             longitude=float(data["lon"]),
             city=str(data.get("city", "")),
-            address=data.get("address"),
+            address=address,
             pois=tuple(PoiEntry.from_dict(p) for p in data.get("pois", ())),
-            streetview_refs=tuple(data.get("streetview_refs", ())),
+            streetview_refs=tuple(refs),
             ground_truth=data.get("ground_truth", {}),
         )
 
 
 def load_samples(path: str | Path) -> list[LocationSample]:
-    """Load location samples from a line-delimited JSON file."""
-    return load_jsonl(path, LocationSample.from_dict, "sample")
+    """Load location samples from a line-delimited JSON file. A job is keyed
+    by its location's id, so an id given twice raises ``ValueError``."""
+    samples = load_jsonl(path, LocationSample.from_dict, "sample")
+    seen: set[str] = set()
+    for sample in samples:
+        if sample.id in seen:
+            raise ValueError(f"{path}: sample id {sample.id!r} is given twice")
+        seen.add(sample.id)
+    return samples
 
 
 def load_jsonl(path: str | Path, from_dict: Callable[[Mapping], object], what: str) -> list:

@@ -14,18 +14,19 @@ names no task, and each job's task is written into its outputs.
 ``no_reliability`` is ``full`` without the gate, so it follows the ``full``
 job of its location and task and takes that job's variant A as its record,
 and that job's prediction when the inference prompt it would send is the
-same. Every other job is a chain of one. An interrupt starts no chain still
-queued; a chain already started runs to its end. A job's transcript is
-handed to the caller as the job ends and then dropped, so a run's memory
-does not grow with its transcripts. Predictions and the
-similarity log are written in deterministic order, so replay runs are
-byte-identical regardless of worker width.
+same. Every other job is a chain of one. An interrupt starts no further
+job; a job already running ends. A job's transcript is handed to the
+caller as the job ends and then dropped, so a run's memory does not grow
+with its transcripts. Predictions and the similarity log are written in
+deterministic order, so replay runs are byte-identical regardless of
+worker width.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -211,33 +212,40 @@ def _run_jobs(
     backend: ChatBackend,
     factor_maps: Mapping[str, FactorMap],
     on_job_end: Callable[[LocationRun], None] | None,
-) -> list[tuple[PredictionOutput | None, list[str] | str]]:
+    stop: threading.Event,
+) -> list[tuple[tuple[str, str, str], PredictionOutput | None, list[str] | str]]:
     """The jobs of one chain of one location, in turn, in one pool thread:
-    for each, (prediction, similarity-log lines), or (None, error text) when
-    the job failed.
+    for each, its (location, task, variant) key with its prediction and
+    similarity-log lines, or with None and the error text when the job
+    failed. A failed job is logged as it fails.
 
     A job that succeeded hands its extraction and its prediction to the
     later jobs of the chain (see :func:`predict_location`); a failed one
     hands nothing on, so the next job takes the last extraction handed on,
-    or extracts and infers for itself if there is none. An error from
-    ``on_job_end`` is not a failed job; it propagates.
+    or extracts and infers for itself if there is none. Once ``stop`` is
+    set no further job starts. An error from ``on_job_end`` is not a
+    failed job; it propagates.
     """
-    results: list[tuple[PredictionOutput | None, list[str] | str]] = []
+    outcomes = []
     pairs = prediction = None
     for task, variant in chain:
+        if stop.is_set():
+            break
+        key = (sample.id, task.id, variant)
         try:
             run = predict_location(
                 sample, task, variant, backend, factor_maps.get(task.id), pairs, prediction
             )
         except Exception as exc:
-            results.append((None, str(exc)))
+            logger.error("job %s failed: %s", key, exc)
+            outcomes.append((key, None, str(exc)))
             continue
         pairs, prediction = run.pairs, run.prediction
         if on_job_end is not None:
             on_job_end(run)
-        results.append((run.prediction, run.similarity_lines()))
+        outcomes.append((key, run.prediction, run.similarity_lines()))
         del run  # only the pairs and the prediction outlive the job
-    return results
+    return outcomes
 
 
 def run_predictions(
@@ -258,8 +266,10 @@ def run_predictions(
     for the guided variants. Per-job failures are collected (and counted),
     not propagated; failed jobs are excluded from the predictions.
     ``on_job_end`` is called with each successful job's transcript in that
-    job's thread, before the transcript is dropped. If it raises, jobs not
-    yet started are cancelled and the error propagates.
+    job's thread, before the transcript is dropped. An interrupt, or an
+    error from ``on_job_end`` once the collection of results reaches its
+    chain, starts no further job; the error propagates once the jobs
+    already running have ended.
     """
     factor_maps = factor_maps or {}
     for variant in variants:
@@ -270,34 +280,27 @@ def run_predictions(
                     f"variant {variant!r} needs guided factor maps for tasks {missing}"
                 )
 
-    groups = [(sample, chain) for chain in _chains(tasks, variants) for sample in samples]
-    outcome = RunOutcome()
-    done: dict[tuple[str, str, str], tuple[PredictionOutput, list[str]]] = {}
+    stop = threading.Event()
     with worker_pool(len(PAIRS) * workers) as submit:
-        futures = [
-            submit(_run_jobs, sample, chain, backend, factor_maps, on_job_end)
-            for sample, chain in groups
-        ]
-        for (sample, chain), future in zip(groups, futures):
-            for (task, variant), (prediction, detail) in zip(chain, future.result()):
-                key = (sample.id, task.id, variant)
-                if prediction is not None:
-                    done[key] = (prediction, detail)
-                    continue
-                logger.error("job %s failed: %s", key, detail)
-                outcome.failures.append(
-                    {
-                        "location_id": sample.id,
-                        "task_id": task.id,
-                        "variant": variant,
-                        "error": detail,
-                    }
-                )
+        try:
+            futures = [
+                submit(_run_jobs, sample, chain, backend, factor_maps, on_job_end, stop)
+                for chain in _chains(tasks, variants)
+                for sample in samples
+            ]
+            outcomes = [job for future in futures for job in future.result()]
+        except BaseException:
+            stop.set()
+            raise
 
-    ordered = [done[key] for key in sorted(done)]
-    outcome.predictions = [prediction for prediction, _ in ordered]
-    outcome.similarity_lines = [line for _, lines in ordered for line in lines]
-    outcome.failures.sort(key=lambda f: (f["location_id"], f["task_id"], f["variant"]))
+    outcome = RunOutcome()
+    for key, prediction, detail in sorted(outcomes, key=lambda job: job[0]):
+        if prediction is None:
+            failure = dict(zip(("location_id", "task_id", "variant"), key), error=detail)
+            outcome.failures.append(failure)
+        else:
+            outcome.predictions.append(prediction)
+            outcome.similarity_lines.extend(detail)
     if outcome.failures:
         logger.warning("%d job(s) failed and were excluded", len(outcome.failures))
     return outcome

@@ -1014,11 +1014,16 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+def _sample_with(fields: bytes) -> bytes:
+    """A valid sample line, then a sample with the extra JSON ``fields``."""
+    good = (FIXTURES / "samples.jsonl").read_bytes().splitlines()[0]
+    return good + b'\n{"id": "second", "lat": 1.0, "lon": 2.0, ' + fields + b"}\n"
+
+
 def _sample_with_poi_distance(distance: bytes) -> bytes:
     """A valid sample line, then a sample whose one POI is ``distance`` metres away."""
-    good = (FIXTURES / "samples.jsonl").read_bytes().splitlines()[0]
     poi = b'{"name": "kiosk", "category": "shop:kiosk", "distance_m": ' + distance + b"}"
-    return good + b'\n{"id": "far_kiosk", "lat": 1.0, "lon": 2.0, "pois": [' + poi + b"]}\n"
+    return _sample_with(b'"pois": [' + poi + b"]")
 
 
 class TestBadInputFiles:
@@ -1039,6 +1044,15 @@ class TestBadInputFiles:
             ("predict", "--dataset", _sample_with_poi_distance(b"Infinity"), ":2: "),
             ("ingest", "--dataset", _sample_with_poi_distance(b"NaN"), ":2: "),
             ("ingest", "--dataset", _sample_with_poi_distance(b"Infinity"), ":2: "),
+            *(
+                (command, "--dataset", _sample_with(fields), ":2: ")
+                for fields in (b'"streetview_refs": "https://sv.example/p.jpg"', b'"address": 42')
+                for command in ("predict", "ingest", "evaluate")
+            ),
+            *(
+                (command, "--dataset", (FIXTURES / "samples.jsonl").read_bytes() * 2, ": ")
+                for command in ("predict", "ingest", "evaluate")
+            ),
         ],
         ids=[
             "dataset-bad-line", "dataset-missing", "predictions-bad-line",
@@ -1047,6 +1061,10 @@ class TestBadInputFiles:
             "evaluate-dataset-not-utf8", "predictions-not-utf8",
             "predict-poi-distance-nan", "predict-poi-distance-infinity",
             "ingest-poi-distance-nan", "ingest-poi-distance-infinity",
+            "predict-streetview-refs-a-string", "ingest-streetview-refs-a-string",
+            "evaluate-streetview-refs-a-string", "predict-address-a-number",
+            "ingest-address-a-number", "evaluate-address-a-number",
+            "predict-sample-id-twice", "ingest-sample-id-twice", "evaluate-sample-id-twice",
         ],
     )
     def test_bad_input_file_is_a_labelled_usage_error(

@@ -1,5 +1,6 @@
 
 import os
+import sys
 
 import pytest
 
@@ -60,6 +61,24 @@ class TestPair:
         assert hash(pair) == hash((d, r))
         assert {(d, r): "found"}[pair] == "found"
         assert {pair: "found"}[(d, r)] == "found"
+
+    def test_hash_and_lookup_make_no_python_call(self):
+        table = dict.fromkeys(PAIRS)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            for pair in PAIRS:
+                hash(pair)
+                table[pair]
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        assert all(hash(Pair(d, r)) == hash((d, r)) for d, r in PAIRS)
 
     def test_record_writes_dimension_and_level(self):
         record = make_record({"f": "x"}, dimension=Dimension.BUILT_ENVIRONMENTAL, level=Level.STREET)

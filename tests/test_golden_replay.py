@@ -129,6 +129,22 @@ def test_replay_under_another_python_reproduces_the_pinned_outputs(tmp_path, pyt
         assert_pinned_outputs(factor_dir, out)
 
 
+def test_evaluate_of_the_golden_predictions_reproduces_the_pinned_reports(tmp_path):
+    """Scores the pinned predictions against the fixture samples' ground
+    truth. Regenerate the pinned file from the repository root, only when a
+    change to the scores or their format is intended::
+
+        G=tests/fixtures/golden; OUT=$(mktemp -d); export PYTHONPATH=src
+        python -m urbanmas.cli evaluate --dataset tests/fixtures/samples.jsonl \\
+            --predictions $G/predictions.jsonl --out $OUT
+        cp $OUT/reports.csv $G/
+    """
+    out = tmp_path / "out"
+    assert main(["evaluate", "--dataset", DATASET,
+                 "--predictions", str(GOLDEN / "predictions.jsonl"), "--out", str(out)]) == 0
+    assert (out / "reports.csv").read_bytes() == (GOLDEN / "reports.csv").read_bytes()
+
+
 def test_recording_at_any_width_reproduces_the_committed_cassette(tmp_path):
     recorded = []
     for workers in ("1", "4"):

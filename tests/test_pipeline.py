@@ -21,7 +21,7 @@ from urbanmas.pipeline import (
     write_similarity_log,
 )
 
-from conftest import FACTOR_NAMES, OPENER, ContextProbeBackend, make_factor_set
+from conftest import FACTOR_NAMES, OPENER, ContextProbeBackend, CtrlC, make_factor_set
 
 
 @pytest.fixture
@@ -128,6 +128,34 @@ class TestRunPredictions:
         assert len(seen) == len(dataset) * len(tasks) * len(VARIANTS)
         assert set(seen.values()) == {opener_value}
         assert {value for _system, value in backend.seen} == {opener_value}
+
+    def test_an_interrupt_starts_no_further_job(
+        self, dataset, factor_map, monkeypatch, sigint_raises
+    ):
+        workers = 1
+        ctrl_c = CtrlC(slots=len(PAIRS) * workers)
+        late = []
+
+        def held_predict_location(sample, task, variant, *args):
+            # Every thread holds a call from here on, so the SIGINT is due.
+            if ctrl_c.started >= ctrl_c.slots:
+                late.append((sample.id, task.id, variant))
+            return predict_location(sample, task, variant, *args)
+
+        class HeldBackend(MockBackend):
+            def complete(self, req):
+                ctrl_c.call()
+                return super().complete(req)
+
+        monkeypatch.setattr(pipeline, "predict_location", held_predict_location)
+        tasks = [builtin_task(t) for t in ("running_amount", "boringness", "liveliness")]
+        with pytest.raises(KeyboardInterrupt):
+            run_predictions(
+                dataset, tasks, VARIANTS, HeldBackend(), {t.id: factor_map for t in tasks},
+                workers=workers,
+            )
+        assert ctrl_c.started >= ctrl_c.slots
+        assert late == []  # of 36 jobs
 
     def test_missing_factor_maps_fail_fast(self, dataset, task):
         with pytest.raises(ConfigError, match="factor maps"):
