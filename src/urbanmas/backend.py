@@ -17,8 +17,9 @@ closes. Keys other than ``text`` in a response, which older recordings
 carry, are ignored on load. Replay from a cassette is the only sanctioned
 path for CI.
 
-Environment for the live backend: ``URBANMAS_API_KEY``, ``URBANMAS_API_BASE``
-(OpenAI-compatible chat-completions endpoint) and ``URBANMAS_MODEL``.
+The live backend takes its endpoint (an OpenAI-compatible chat-completions
+base URL), key and model as arguments; ``cli.make_backend`` decides where
+each one comes from.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import re
 import threading
 import time
@@ -39,7 +39,9 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from . import domain
-from .domain import http_request, load_json, remove_stale_temp_files, write_text_atomic
+from .domain import (
+    http_request, load_json, raise_if_stopped, remove_stale_temp_files, write_text_atomic,
+)
 from .errors import (
     AuthenticationError,
     CassetteFormatError,
@@ -104,7 +106,9 @@ def fingerprint(req: ChatRequest) -> str:
 
 
 class ChatBackend:
-    """Interface all backends implement."""
+    """Interface all backends implement. Every backend that ``cli.make_backend``
+    returns raises :class:`~urbanmas.domain.Stopped` where a call begins once
+    the calling pool task's stage has stopped."""
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         raise NotImplementedError
@@ -270,6 +274,7 @@ class MockBackend(ChatBackend):
         return self
 
     def complete(self, req: ChatRequest) -> ChatResponse:
+        raise_if_stopped()
         with self._lock:
             self.call_count += 1
         for predicate, responder in self._rules:
@@ -312,7 +317,11 @@ class CassetteBackend(ChatBackend):
         if self.path is None or not self.path.exists():
             return entries
         raw, torn = b"\n", False
-        with open(self.path, "rb") as fh:
+        try:
+            fh = open(self.path, "rb")
+        except OSError as exc:
+            raise CassetteFormatError(f"cannot read cassette {self.path}: {exc.strerror}") from exc
+        with fh:
             for lineno, raw in enumerate(fh, 1):
                 if not raw.strip():
                     continue
@@ -339,6 +348,7 @@ class CassetteBackend(ChatBackend):
         return entries
 
     def complete(self, req: ChatRequest) -> ChatResponse:
+        raise_if_stopped()
         fp = fingerprint(req)
         with self._lock:
             stored = self._entries.get(fp)
@@ -451,30 +461,6 @@ def _image_part(ref: str) -> dict | None:
     return None
 
 
-@dataclass
-class LiveConfig:
-    """Connection settings for the live endpoint, overridable per field."""
-
-    api_base: str = ""
-    api_key: str = ""
-    model: str = ""
-    temperature: float | None = None
-    top_p: float | None = None
-    requests_per_minute: float = 60.0
-
-    @classmethod
-    def from_env(cls, **overrides) -> "LiveConfig":
-        cfg = cls(
-            api_base=os.environ.get("URBANMAS_API_BASE", ""),
-            api_key=os.environ.get("URBANMAS_API_KEY", ""),
-            model=os.environ.get("URBANMAS_MODEL", ""),
-        )
-        for key, value in overrides.items():
-            if value is not None:
-                setattr(cfg, key, value)
-        return cfg
-
-
 class LiveBackend(ChatBackend):
     """OpenAI-compatible chat-completions client with retry and rate limiting.
 
@@ -486,24 +472,26 @@ class LiveBackend(ChatBackend):
 
     def __init__(
         self,
-        config: LiveConfig,
+        api_base: str,
+        api_key: str,
+        model: str = "",
+        temperature: float | None = None,
+        top_p: float | None = None,
+        requests_per_minute: float = 60.0,
         transport: Transport | None = None,
         sleep: Callable[[float], None] = time.sleep,
         rate_limiter: RateLimiter | None = None,
     ):
-        if not config.api_key:
+        if not api_key:
             raise AuthenticationError("URBANMAS_API_KEY is not set")
-        if not config.api_base:
+        if not api_base:
             raise AuthenticationError("URBANMAS_API_BASE is not set")
-        self.config = config
-        self._url = config.api_base.rstrip("/") + "/chat/completions"
-        self._headers = {
-            "Authorization": f"Bearer {config.api_key}",
-            "Content-Type": "application/json",
-        }
+        self._url = api_base.rstrip("/") + "/chat/completions"
+        self._headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+        self._model, self._temperature, self._top_p = model, temperature, top_p
         self._transport = transport or _http_post
         self._sleep = sleep
-        self._limiter = rate_limiter or RateLimiter(self.config.requests_per_minute, sleep=sleep)
+        self._limiter = rate_limiter or RateLimiter(requests_per_minute, sleep=sleep)
 
     def _payload(self, req: ChatRequest) -> dict:
         if req.image_refs:
@@ -513,7 +501,7 @@ class LiveBackend(ChatBackend):
         else:
             user_content = req.user_prompt
         payload: dict = {
-            "model": self.config.model,
+            "model": self._model,
             "messages": [
                 {"role": "system", "content": req.system_prompt},
                 {"role": "user", "content": user_content},
@@ -522,10 +510,10 @@ class LiveBackend(ChatBackend):
         }
         if req.response_format == "structured_object":
             payload["response_format"] = {"type": "json_object"}
-        if self.config.temperature is not None:
-            payload["temperature"] = self.config.temperature
-        if self.config.top_p is not None:
-            payload["top_p"] = self.config.top_p
+        if self._temperature is not None:
+            payload["temperature"] = self._temperature
+        if self._top_p is not None:
+            payload["top_p"] = self._top_p
         return payload
 
     def complete(self, req: ChatRequest) -> ChatResponse:
@@ -534,6 +522,7 @@ class LiveBackend(ChatBackend):
             if attempt > 1:
                 logger.warning("attempt %d/%d failed: %s", attempt - 1, DEFAULT_MAX_ATTEMPTS, last_error)
                 self._sleep(DEFAULT_BACKOFF_BASE_S * (2 ** (attempt - 2)))
+                raise_if_stopped()  # a retry is a new call
             self._limiter.acquire()
             try:
                 status, body = self._transport(self._url, self._headers, payload)

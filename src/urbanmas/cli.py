@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
-from .backend import CassetteBackend, ChatBackend, LiveBackend, LiveConfig, MockBackend
+from .backend import CassetteBackend, ChatBackend, LiveBackend, MockBackend
 from .domain import (
     LocationSample,
     PAIRS,
@@ -178,7 +178,10 @@ def make_backend(cfg: RunConfig) -> ChatBackend:
 
     ``replay`` serves the cassette only; ``record`` asks ``--record-source``
     on a miss and appends to the cassette; ``live`` asks the endpoint on a
-    miss and keeps the store in memory, so it ignores ``--cassette``.
+    miss and keeps the store in memory, so it ignores ``--cassette``. The
+    endpoint's ``api_base`` and ``model`` come from the config unless it
+    leaves them None, then from ``URBANMAS_API_BASE`` and ``URBANMAS_MODEL``;
+    its key comes only from ``URBANMAS_API_KEY``.
     """
     if cfg.backend == "mock":
         return MockBackend()
@@ -186,14 +189,16 @@ def make_backend(cfg: RunConfig) -> ChatBackend:
         return CassetteBackend(cfg.cassette)
     if cfg.backend == "record" and cfg.record_source == "mock":
         return CassetteBackend(cfg.cassette, MockBackend())
-    live_cfg = LiveConfig.from_env(
-        model=cfg.model,
-        api_base=cfg.api_base,
+    env = os.environ.get
+    live = LiveBackend(
+        api_base=env("URBANMAS_API_BASE", "") if cfg.api_base is None else cfg.api_base,
+        api_key=env("URBANMAS_API_KEY", ""),
+        model=env("URBANMAS_MODEL", "") if cfg.model is None else cfg.model,
         temperature=cfg.temperature,
         top_p=cfg.top_p,
         requests_per_minute=cfg.requests_per_minute,
     )
-    return CassetteBackend(cfg.cassette if cfg.backend == "record" else None, LiveBackend(live_cfg))
+    return CassetteBackend(cfg.cassette if cfg.backend == "record" else None, live)
 
 
 def _sha256_file(path: str | Path) -> str:
@@ -216,7 +221,11 @@ def code_sha256(package_dir: Path = Path(__file__).parent) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(cfg: RunConfig, command: str) -> Path:
+def write_manifest(cfg: RunConfig, command: str, *outputs: str) -> Path:
+    """Write ``<out>/manifest.json``, first removing the temp files that killed
+    writes of it and of the command's other ``outputs`` there left behind."""
+    for name in ("manifest.json", *outputs):
+        remove_stale_temp_files(Path(cfg.out_dir) / name)
     manifest = {
         "command": command,
         "version": __version__,
@@ -283,7 +292,7 @@ def cmd_factors(cfg: RunConfig) -> int:
 def cmd_ingest(cfg: RunConfig) -> int:
     samples = _load_dataset(cfg)
     client = GeoClient(_ingest_config(cfg))
-    write_manifest(cfg, "ingest")
+    write_manifest(cfg, "ingest", "enriched.jsonl")
     remove_stale_temp_files(Path(cfg.cache_dir) / "*.json")
 
     enriched: dict[str, LocationSample] = {}
@@ -330,9 +339,6 @@ def _replace_dir(new: Path, target: Path) -> None:
 def cmd_predict(cfg: RunConfig) -> int:
     samples = _load_dataset(cfg)
     tasks = cfg.resolve_tasks()
-    backend = make_backend(cfg)
-    write_manifest(cfg, "predict")
-
     factor_maps = {}
     if any(v in GUIDED_VARIANTS for v in cfg.variants):
         from .guidance import load_factor_cache
@@ -345,6 +351,8 @@ def cmd_predict(cfg: RunConfig) -> int:
                     f"run `urbanmas factors --tasks {task.id}` first"
                 )
             factor_maps[task.id] = load_factor_cache(cache_path, task)
+    backend = make_backend(cfg)
+    write_manifest(cfg, "predict")
 
     # Each job writes its audit file into a staging tree as it ends; the
     # tree replaces audit/ whole once every job has ended. The temp files
@@ -434,7 +442,7 @@ def cmd_evaluate(cfg: RunConfig, predictions_path: str | None, truth_path: str |
         raise ConfigError("no ground truth available (dataset has none and no --truth given)")
 
     reports = score_outcome(predictions, truths)
-    write_manifest(cfg, "evaluate")
+    write_manifest(cfg, "evaluate", "reports.csv", "reports.txt")
     out_dir = Path(cfg.out_dir)
     write_reports_csv(reports, out_dir / "reports.csv")
     table = render_report_table(reports)

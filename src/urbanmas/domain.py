@@ -286,19 +286,45 @@ def remove_stale_temp_files(path: Path) -> None:
         stale.unlink()
 
 
+class Stopped(BaseException):
+    """Raised where a model call begins once its stage has stopped. It is not
+    an ``Exception``, so no handler of failed calls takes it for one."""
+
+
+# The stop of the worker_pool stage that the current pool task belongs to.
+_STAGE_STOP: contextvars.ContextVar[threading.Event] = contextvars.ContextVar("stage_stop")
+
+
+def stage_stop() -> threading.Event:
+    """The stop of the current pool task's stage; a fresh, unset event outside a pool."""
+    return _STAGE_STOP.get(None) or threading.Event()
+
+
+def raise_if_stopped() -> None:
+    """Raise :class:`Stopped` if the current pool task's stage has stopped."""
+    if stage_stop().is_set():
+        raise Stopped("the stage has stopped")
+
+
 @contextmanager
 def worker_pool(width: int) -> Iterator[Callable[..., Future]]:
     """Open ``width`` threads and yield their ``submit(fn, *args)``, which runs
     ``fn`` in a copy of the submitter's ``contextvars`` context. At 4 x
     ``workers`` threads of one model call each, at most 4 x ``workers`` calls
-    are in flight. If the ``with`` body raises anything, ``KeyboardInterrupt``
-    included, queued work is cancelled; running work ends before it propagates."""
+    are in flight. The pool is one stage with one stop (:func:`stage_stop`).
+    If the ``with`` body raises anything, ``KeyboardInterrupt`` included, the
+    stop is set and queued work is cancelled; running work ends at its next
+    model call (:func:`raise_if_stopped`), before the error propagates."""
+    stop = threading.Event()
     with ThreadPoolExecutor(width) as pool:
         def submit(fn: Callable, /, *args) -> Future:
-            return pool.submit(contextvars.copy_context().run, fn, *args)
+            context = contextvars.copy_context()
+            context.run(_STAGE_STOP.set, stop)
+            return pool.submit(context.run, fn, *args)
         try:
             yield submit
         except BaseException:
+            stop.set()
             pool.shutdown(cancel_futures=True)
             raise
 

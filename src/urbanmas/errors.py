@@ -30,7 +30,7 @@ class ReplayMissError(UrbanMasError):
 
 
 class CassetteFormatError(UrbanMasError):
-    """A cassette line is not a valid fingerprint -> response entry."""
+    """A cassette cannot be read, or a line is not a valid fingerprint -> response entry."""
 
 
 # --- geo ingestion --------------------------------------------------------

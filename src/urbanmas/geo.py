@@ -128,7 +128,7 @@ class GeoClient:
         if path.exists():
             try:
                 value = load_json(path.read_text(encoding="utf-8"))[key]
-            except (ValueError, KeyError, TypeError):
+            except (OSError, ValueError, KeyError, TypeError):
                 pass
             if not valid(value):
                 logger.warning("ignoring corrupt geo cache entry %s", path)
@@ -140,7 +140,8 @@ class GeoClient:
         url: str, params: Mapping[str, object], parse: Callable[[dict], object],
     ) -> object:
         """The cached value, or one GET (paced if geocoding) whose body ``parse``
-        turns into the value to cache; an unusable body is an upstream failure."""
+        turns into the value to cache; an unusable body is an upstream failure,
+        and a cache write that fails is a warning."""
         value = self._cache_read(kind, lat, lon)
         with self._stats_lock:
             if value is not None:
@@ -171,7 +172,11 @@ class GeoClient:
             raise UpstreamUnavailableError(
                 f"{url} returned an unusable body: {type(exc).__name__}: {exc}"
             ) from exc
-        write_json_atomic(self._cache_path(kind, lat, lon), {key: value})
+        path = self._cache_path(kind, lat, lon)
+        try:
+            write_json_atomic(path, {key: value})
+        except OSError as exc:
+            logger.warning("cannot write geo cache entry %s: %s", path, exc)
         return value
 
     # -- operations ----------------------------------------------------------

@@ -190,7 +190,8 @@ def guide(
     whose four pairs succeed is cached whole to its own
     file (factor sets plus research briefs) before any failure is raised;
     then one :class:`GuidanceError` names every failing pair as
-    ``<task>/<pair>``. An interrupt starts no call still queued.
+    ``<task>/<pair>``. An interrupt starts no call still queued, and the
+    researches and summaries running end at their next call.
     """
     paths = {} if factor_dir is None else {
         task.id: factor_cache_path(factor_dir, task.id) for task in tasks
@@ -273,9 +274,9 @@ def save_factor_cache(
 def load_factor_cache(path: str | Path, task: TaskSpec) -> FactorMap:
     """Load the factor sets that :func:`guide` cached for ``task``.
 
-    Unreadable content, a cache made for another task spec or under other
-    prompts (:func:`_prompt_sha256`), or a set that fails validation raises
-    :class:`GuidanceError` naming the file.
+    A file or content that cannot be read, a cache made for another task
+    spec or under other prompts (:func:`_prompt_sha256`), or a set that
+    fails validation raises :class:`GuidanceError` naming the file.
     """
     redo = f"delete it and run `urbanmas factors --tasks {task.id}` again"
     try:
@@ -287,7 +288,7 @@ def load_factor_cache(path: str | Path, task: TaskSpec) -> FactorMap:
              tuple(PredictiveFactor.from_dict(f) for f in entry["factors"]))
             for entry in doc["pairs"]
         ]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
         raise GuidanceError(f"cannot read factor cache {path} ({exc!r}); {redo}") from exc
     if cached_task != task.to_dict():
         raise GuidanceError(

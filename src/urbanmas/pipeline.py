@@ -15,9 +15,9 @@ names no task, and each job's task is written into its outputs.
 job of its location and task and takes that job's variant A as its record,
 and that job's prediction when the inference prompt it would send is the
 same. Every other job is a chain of one. An interrupt starts no further
-job; a job already running ends. A job's transcript is handed to the
-caller as the job ends and then dropped, so a run's memory does not grow
-with its transcripts. Predictions and the similarity log are written in
+job, and a job already running ends at its next model call. A job's
+transcript is handed to the caller as the job ends and then dropped, so a
+run's memory does not grow with its transcripts. Predictions and the similarity log are written in
 deterministic order, so replay runs are byte-identical regardless of
 worker width.
 """
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -38,8 +37,10 @@ from .domain import (
     PAIRS,
     Pair,
     PredictionOutput,
+    Stopped,
     TaskSpec,
     load_jsonl,
+    stage_stop,
     worker_pool,
     write_text_atomic,
 )
@@ -212,7 +213,6 @@ def _run_jobs(
     backend: ChatBackend,
     factor_maps: Mapping[str, FactorMap],
     on_job_end: Callable[[LocationRun], None] | None,
-    stop: threading.Event,
 ) -> list[tuple[tuple[str, str, str], PredictionOutput | None, list[str] | str]]:
     """The jobs of one chain of one location, in turn, in one pool thread:
     for each, its (location, task, variant) key with its prediction and
@@ -222,10 +222,12 @@ def _run_jobs(
     A job that succeeded hands its extraction and its prediction to the
     later jobs of the chain (see :func:`predict_location`); a failed one
     hands nothing on, so the next job takes the last extraction handed on,
-    or extracts and infers for itself if there is none. Once ``stop`` is
-    set no further job starts. An error from ``on_job_end`` is not a
-    failed job; it propagates.
+    or extracts and infers for itself if there is none. Once the stage has
+    stopped no further job starts, and a job that was running ends at its
+    next model call without an outcome. An error from ``on_job_end`` is not
+    a failed job: it stops the stage and propagates.
     """
+    stop = stage_stop()
     outcomes = []
     pairs = prediction = None
     for task, variant in chain:
@@ -236,13 +238,19 @@ def _run_jobs(
             run = predict_location(
                 sample, task, variant, backend, factor_maps.get(task.id), pairs, prediction
             )
+        except Stopped:
+            break
         except Exception as exc:
             logger.error("job %s failed: %s", key, exc)
             outcomes.append((key, None, str(exc)))
             continue
         pairs, prediction = run.pairs, run.prediction
         if on_job_end is not None:
-            on_job_end(run)
+            try:
+                on_job_end(run)
+            except BaseException:
+                stop.set()
+                raise
         outcomes.append((key, run.prediction, run.similarity_lines()))
         del run  # only the pairs and the prediction outlive the job
     return outcomes
@@ -267,9 +275,8 @@ def run_predictions(
     not propagated; failed jobs are excluded from the predictions.
     ``on_job_end`` is called with each successful job's transcript in that
     job's thread, before the transcript is dropped. An interrupt, or an
-    error from ``on_job_end`` once the collection of results reaches its
-    chain, starts no further job; the error propagates once the jobs
-    already running have ended.
+    error from ``on_job_end``, stops the run: no further job starts, the
+    jobs running end at their next model call, and the error propagates.
     """
     factor_maps = factor_maps or {}
     for variant in variants:
@@ -280,18 +287,13 @@ def run_predictions(
                     f"variant {variant!r} needs guided factor maps for tasks {missing}"
                 )
 
-    stop = threading.Event()
     with worker_pool(len(PAIRS) * workers) as submit:
-        try:
-            futures = [
-                submit(_run_jobs, sample, chain, backend, factor_maps, on_job_end, stop)
-                for chain in _chains(tasks, variants)
-                for sample in samples
-            ]
-            outcomes = [job for future in futures for job in future.result()]
-        except BaseException:
-            stop.set()
-            raise
+        futures = [
+            submit(_run_jobs, sample, chain, backend, factor_maps, on_job_end)
+            for chain in _chains(tasks, variants)
+            for sample in samples
+        ]
+        outcomes = [job for future in futures for job in future.result()]
 
     outcome = RunOutcome()
     for key, prediction, detail in sorted(outcomes, key=lambda job: job[0]):

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from urbanmas.backend import MockBackend
+from urbanmas.backend import (
+    CassetteBackend, ChatBackend, ChatResponse, MockBackend, deterministic_responder,
+)
 from urbanmas.domain import (
     Dimension,
     FactorSet,
@@ -80,6 +82,27 @@ class CtrlC:
             threading.Timer(self._hold_s, self._released.set).start()
             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
         assert self._released.wait(timeout=30)
+
+
+def held_backend(kind: str, ctrl_c: CtrlC, answer=deterministic_responder) -> ChatBackend:
+    """A backend whose every model call goes through ``ctrl_c`` first and is
+    then answered by ``answer``: the mock itself (``kind`` "mock"), or a plain
+    backend behind a read-through store, as ``record`` and ``live`` run
+    (``kind`` "store"). ``ctrl_c.started`` counts the model calls begun."""
+    if kind == "mock":
+        class HeldMock(MockBackend):
+            def complete(self, req):
+                ctrl_c.call()
+                return super().complete(req)
+
+        return HeldMock().add_rule(lambda req: True, answer)
+
+    class HeldModel(ChatBackend):
+        def complete(self, req):
+            ctrl_c.call()
+            return ChatResponse(answer(req))
+
+    return CassetteBackend(None, HeldModel())
 
 
 @pytest.fixture

@@ -11,13 +11,12 @@ from urbanmas.backend import (
     ChatRequest,
     ChatResponse,
     LiveBackend,
-    LiveConfig,
     MockBackend,
     RateLimiter,
     deterministic_responder,
     fingerprint,
 )
-from urbanmas.domain import PAIRS
+from urbanmas.domain import PAIRS, Stopped, stage_stop, worker_pool
 from urbanmas.errors import (
     AuthenticationError,
     CassetteFormatError,
@@ -493,12 +492,12 @@ def _ok_body(text: str = "hello") -> str:
     return json.dumps({"choices": [{"message": {"content": text}}]})
 
 
-def live(transport, **cfg_overrides) -> LiveBackend:
+def live(transport, **settings) -> LiveBackend:
     # This budget keeps the token bucket from waiting.
-    cfg = LiveConfig(api_base="https://api.test/v1", api_key="k", model="m", requests_per_minute=60000)
-    for key, value in cfg_overrides.items():
-        setattr(cfg, key, value)
-    return LiveBackend(cfg, transport=transport, sleep=lambda s: None)
+    return LiveBackend(
+        "https://api.test/v1", "k", model="m", requests_per_minute=60000,
+        transport=transport, sleep=lambda s: None, **settings,
+    )
 
 
 class TestLiveBackend:
@@ -527,16 +526,20 @@ class TestLiveBackend:
                 return 503, "upstream sad"
             return 200, _ok_body()
 
-        cfg = LiveConfig(api_base="https://api.test/v1", api_key="k", model="m", requests_per_minute=60000)
-        backend = LiveBackend(cfg, transport=transport, sleep=sleeps.append)
+        backend = LiveBackend(
+            "https://api.test/v1", "k", model="m", requests_per_minute=60000,
+            transport=transport, sleep=sleeps.append,
+        )
         assert backend.complete(req()).text == "hello"
         assert len(calls) == 3
         assert sleeps == [0.5, 1.0]
 
     def test_token_bucket_waits_on_the_injected_sleep(self):
         sleeps = []
-        cfg = LiveConfig(api_base="https://api.test/v1", api_key="k", model="m", requests_per_minute=60)
-        backend = LiveBackend(cfg, transport=lambda *_: (200, _ok_body()), sleep=sleeps.append)
+        backend = LiveBackend(
+            "https://api.test/v1", "k", model="m", requests_per_minute=60,
+            transport=lambda *_: (200, _ok_body()), sleep=sleeps.append,
+        )
         started = time.monotonic()
         backend.complete(req())
         backend.complete(req())
@@ -592,6 +595,20 @@ class TestLiveBackend:
             backend.complete(req())
         assert len(calls) == 1
 
+    def test_a_stopped_stage_begins_no_retry(self):
+        calls = []
+
+        def transport(url, headers, payload):
+            calls.append(1)
+            stage_stop().set()
+            return 503, "busy"
+
+        with worker_pool(1) as submit:
+            future = submit(live(transport).complete, req())
+        with pytest.raises(Stopped):
+            future.result()
+        assert len(calls) == 1
+
     def test_every_attempt_passes_through_the_rate_limiter(self):
         acquires = []
 
@@ -602,9 +619,9 @@ class TestLiveBackend:
         def transport(url, headers, payload):
             return 503, "flaky"
 
-        cfg = LiveConfig(api_base="https://api.test/v1", api_key="k", model="m")
         backend = LiveBackend(
-            cfg, transport=transport, sleep=lambda s: None, rate_limiter=CountingLimiter()
+            "https://api.test/v1", "k", model="m",
+            transport=transport, sleep=lambda s: None, rate_limiter=CountingLimiter(),
         )
         with pytest.raises(TransportExhaustedError):
             backend.complete(req())
@@ -626,12 +643,12 @@ class TestLiveBackend:
         def transport(url, headers, payload):  # pragma: no cover - must not run
             raise AssertionError("network touched")
 
-        for cfg, missing in (
-            (LiveConfig(api_base="https://api.test/v1", api_key=""), "URBANMAS_API_KEY"),
-            (LiveConfig(api_base="", api_key="k"), "URBANMAS_API_BASE"),
+        for api_base, api_key, missing in (
+            ("https://api.test/v1", "", "URBANMAS_API_KEY"),
+            ("", "k", "URBANMAS_API_BASE"),
         ):
             with pytest.raises(AuthenticationError, match=f"{missing} is not set"):
-                LiveBackend(cfg, transport=transport)
+                LiveBackend(api_base, api_key, transport=transport)
 
     @pytest.mark.parametrize(
         "settings, sent",
@@ -677,12 +694,3 @@ class TestLiveBackend:
             live(transport).complete(req(image_refs=(missing,)))
         assert payloads[0]["messages"][1]["content"] == [{"type": "text", "text": "user"}]
         assert "dropping unusable image ref" in caplog.text and missing in caplog.text
-
-    def test_env_configuration(self, monkeypatch):
-        monkeypatch.setenv("URBANMAS_API_BASE", "https://env.test/v1")
-        monkeypatch.setenv("URBANMAS_API_KEY", "envkey")
-        monkeypatch.setenv("URBANMAS_MODEL", "envmodel")
-        cfg = LiveConfig.from_env()
-        assert (cfg.api_base, cfg.api_key, cfg.model) == (
-            "https://env.test/v1", "envkey", "envmodel",
-        )

@@ -12,7 +12,7 @@ import urbanmas.cli
 from urbanmas.backend import CassetteBackend, ChatRequest, MockBackend, deterministic_responder
 from urbanmas.cli import RunConfig, load_config, main, make_backend
 from urbanmas.domain import builtin_task
-from urbanmas.errors import ConfigError
+from urbanmas.errors import AuthenticationError, ConfigError
 
 from conftest import (
     DEEP_JSON, FIXTURES, LONG_INT_JSON, OPENER, CtrlC, answer_every_upstream,
@@ -614,6 +614,105 @@ class TestPredictCommand:
         assert len(recorded) == 5 * 3
 
 
+class TestUnreadablePaths:
+    """A directory where a cache entry or a cassette should be: a labelled
+    error or a miss, never a traceback. This suite runs as root, so a
+    directory, not a permission bit, makes a path unreadable."""
+
+    DATASET = ("--dataset", str(FIXTURES / "samples.jsonl"))
+
+    @pytest.mark.parametrize("command", ["factors", "predict"])
+    def test_a_factor_cache_is_a_labelled_usage_error(self, workspace, capsys, command):
+        cache = workspace / "factors" / "factors_running_amount.json"
+        cache.mkdir(parents=True)
+        assert run_cli(
+            command, "--backend", "mock", *self.DATASET, "--tasks", "running_amount",
+            "--factor-dir", str(workspace / "factors"), "--out", str(workspace / "out"),
+            "--variant", "full",
+        ) == 2
+        assert f"error: cannot read factor cache {cache}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["replay", "record"])
+    def test_a_cassette_is_a_labelled_usage_error(self, workspace, capsys, backend):
+        cassette = workspace / "cassette.jsonl"
+        cassette.mkdir()
+        assert run_cli(
+            "predict", "--backend", backend, "--record-source", "mock",
+            "--cassette", str(cassette), *self.DATASET, "--out", str(workspace / "out"),
+            "--variant", "single_llm",
+        ) == 2
+        assert f"error: cannot read cassette {cassette}" in capsys.readouterr().err
+
+    def test_a_geo_cache_entry_offline_is_a_miss(self, workspace, capsys, caplog):
+        pois = workspace / "geocache" / "pois_35.65860_139.74540.json"
+        pois.unlink()
+        pois.mkdir()
+        assert run_cli(
+            "ingest", "--offline", "--dataset", str(workspace / "raw_samples.jsonl"),
+            "--cache-dir", str(workspace / "geocache"), "--out", str(workspace / "out"),
+        ) == 0
+        assert "with address: 3; with POIs: 2" in capsys.readouterr().out
+        assert f"ignoring corrupt geo cache entry {pois}" in caplog.text
+
+    def test_a_geo_cache_entry_online_is_fetched_and_not_cached(
+        self, workspace, capsys, caplog, monkeypatch, no_geo_network
+    ):
+        import urbanmas.geo as geo_mod
+
+        monkeypatch.setattr(geo_mod, "_http_get", answer_every_upstream)
+        monkeypatch.setattr(geo_mod.time, "sleep", lambda s: None)
+        reverse = workspace / "cache" / "reverse_35.65860_139.74540.json"
+        reverse.mkdir(parents=True)
+        assert run_cli(
+            "ingest", "--dataset", str(workspace / "raw_samples.jsonl"),
+            "--cache-dir", str(workspace / "cache"), "--out", str(workspace / "out"),
+        ) == 0
+        assert "with address: 3" in capsys.readouterr().out
+        assert f"cannot write geo cache entry {reverse}" in caplog.text
+        assert reverse.is_dir()
+
+
+class TestOutStaysConsistent:
+    @pytest.mark.parametrize("cache", ["missing", "directory"])
+    def test_a_factor_cache_error_leaves_the_previous_run_whole(self, workspace, cache):
+        out = workspace / "out"
+        args = (
+            "predict", "--backend", "mock", "--dataset", str(workspace / "samples.jsonl"),
+            "--factor-dir", str(workspace / "factors"), "--out", str(out),
+        )
+        assert run_cli(*args, "--variant", "single_llm") == 0
+        if cache == "directory":
+            (workspace / "factors" / "factors_running_amount.json").mkdir(parents=True)
+        before = _tree_bytes(out)
+        assert run_cli(*args, "--variant", "full") == 2
+        assert _tree_bytes(out) == before
+
+    @pytest.mark.parametrize(
+        "command, outputs, args",
+        [
+            ("factors", ["manifest.json"], ["--backend", "mock", "--factor-dir", "factors"]),
+            ("ingest", ["manifest.json", "enriched.jsonl"],
+             ["--offline", "--dataset", "raw_samples.jsonl", "--cache-dir", "geocache"]),
+            ("evaluate", ["manifest.json", "reports.csv", "reports.txt"],
+             ["--dataset", "samples.jsonl",
+              "--predictions", str(FIXTURES / "golden" / "predictions.jsonl")]),
+        ],
+        ids=["factors", "ingest", "evaluate"],
+    )
+    def test_temp_files_of_killed_output_writes_are_swept(
+        self, workspace, monkeypatch, command, outputs, args
+    ):
+        monkeypatch.chdir(workspace)
+        out = workspace / "out"
+        out.mkdir()
+        for name in outputs:
+            (out / f"{name}.99999.1.tmp").write_text("half")
+        (out / "notes.tmp").write_text("kept")
+        assert run_cli(command, *args, "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "notes.tmp"])
+        assert (out / "notes.tmp").read_text() == "kept"
+
+
 class TestEvaluateCommand:
     def _pipeline(self, workspace):
         TestPredictCommand()._factors(workspace)
@@ -944,6 +1043,53 @@ class TestLiveMode:
         cfg = RunConfig(backend=mode, cassette=str(workspace / "cassette.jsonl"))
         backend = make_backend(cfg)
         assert type(backend) is (MockBackend if mode == "mock" else CassetteBackend)
+
+    @staticmethod
+    def _endpoint(monkeypatch, **settings) -> tuple[str, str, str]:
+        """The (api_base, api_key, model) that the live backend ``make_backend``
+        builds for these ``RunConfig`` settings posts its first call with."""
+        sent = []
+
+        def post(url, headers, payload):
+            bearer = headers["Authorization"].removeprefix("Bearer ")
+            sent.append((url.removesuffix("/chat/completions"), bearer, payload["model"]))
+            return 200, json.dumps({"choices": [{"message": {"content": "ok"}}]})
+
+        monkeypatch.setattr("urbanmas.backend._http_post", post)
+        make_backend(RunConfig(backend="live", **settings)).complete(ChatRequest("s", "u"))
+        return sent[0]
+
+    def test_env_configuration(self, monkeypatch):
+        monkeypatch.setenv("URBANMAS_API_BASE", "https://env.test/v1")
+        monkeypatch.setenv("URBANMAS_API_KEY", "envkey")
+        monkeypatch.setenv("URBANMAS_MODEL", "envmodel")
+        api_base, api_key, model = self._endpoint(monkeypatch)
+        assert (api_base, api_key, model) == (
+            "https://env.test/v1", "envkey", "envmodel",
+        )
+
+    @pytest.mark.parametrize("api_base", [None, "https://cfg.test/v1"])
+    @pytest.mark.parametrize("model", [None, "cfgmodel", ""])
+    def test_a_config_setting_that_is_not_none_beats_the_environment(
+        self, monkeypatch, api_base, model
+    ):
+        monkeypatch.setenv("URBANMAS_API_BASE", "https://env.test/v1")
+        monkeypatch.setenv("URBANMAS_API_KEY", "envkey")
+        monkeypatch.setenv("URBANMAS_MODEL", "envmodel")
+        assert self._endpoint(monkeypatch, api_base=api_base, model=model) == (
+            "https://env.test/v1" if api_base is None else api_base,
+            "envkey",
+            "envmodel" if model is None else model,
+        )
+
+    def test_the_key_comes_only_from_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("URBANMAS_API_BASE", "https://env.test/v1")
+        monkeypatch.delenv("URBANMAS_API_KEY", raising=False)
+        with pytest.raises(AuthenticationError, match="URBANMAS_API_KEY is not set"):
+            make_backend(RunConfig(backend="live"))
+        (tmp_path / "run.json").write_text(json.dumps({"api_key": "k"}))
+        with pytest.raises(ConfigError, match=r"unknown keys: \['api_key'\]"):
+            load_config(tmp_path / "run.json", {})
 
     def test_missing_key_stops_the_run_before_it_starts(self, workspace, capsys, monkeypatch):
         def post(url, headers, payload):  # pragma: no cover - must not run

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from urbanmas import domain, guidance
-from urbanmas.backend import CassetteBackend, ChatRequest, MockBackend
+from urbanmas.backend import CassetteBackend, ChatRequest, MockBackend, deterministic_responder
 from urbanmas.domain import Dimension, Level, PAIRS, Pair, TaskSpec, builtin_task, validate_factor_set
 from urbanmas.errors import DegenerateReportError, GuidanceError, InvalidFactorSetError
 from urbanmas.guidance import (
@@ -19,7 +19,7 @@ from urbanmas.guidance import (
     summarize,
 )
 
-from conftest import DEEP_JSON, ContextProbeBackend, CtrlC
+from conftest import DEEP_JSON, ContextProbeBackend, CtrlC, held_backend
 
 
 def _factors_json(n: int) -> str:
@@ -220,6 +220,21 @@ class TestGuide:
         with pytest.raises(KeyboardInterrupt):
             guide(tasks, HeldBackend(), workers=workers)
         assert ctrl_c.started == ctrl_c.slots  # of 24 calls
+
+    @pytest.mark.parametrize("kind", ["mock", "store"])
+    def test_an_interrupt_begins_no_retry(self, kind, sigint_raises):
+        workers = 1
+        ctrl_c = CtrlC(slots=len(PAIRS) * workers)
+
+        def degenerate_first_research(req):
+            if "research analyst" in req.system_prompt and req.variant_seed == 0:
+                return "too short"
+            return deterministic_responder(req)
+
+        tasks = [builtin_task(t) for t in ("running_amount", "boringness", "liveliness")]
+        with pytest.raises(KeyboardInterrupt):
+            guide(tasks, held_backend(kind, ctrl_c, degenerate_first_research), workers=workers)
+        assert ctrl_c.started == ctrl_c.slots  # the researches held at the SIGINT
 
     def test_each_research_and_summary_sees_the_openers_context(self, task, opener_value):
         backend = ContextProbeBackend()

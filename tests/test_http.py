@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from urbanmas.backend import DEFAULT_BACKOFF_BASE_S, ChatRequest, LiveBackend, LiveConfig
+from urbanmas.backend import DEFAULT_BACKOFF_BASE_S, ChatRequest, LiveBackend
 from urbanmas.errors import AuthenticationError, TransportExhaustedError
 from urbanmas.geo import USER_AGENT, GeoClient, IngestConfig
 
@@ -88,8 +88,7 @@ def server(monkeypatch):
 
 def live(api_base: str, sleeps: list) -> LiveBackend:
     # A budget high enough that the token bucket never waits.
-    cfg = LiveConfig(api_base=api_base, api_key="k", model="m", requests_per_minute=60000)
-    return LiveBackend(cfg, sleep=sleeps.append)
+    return LiveBackend(api_base, "k", model="m", requests_per_minute=60000, sleep=sleeps.append)
 
 
 def req() -> ChatRequest:
@@ -156,11 +155,11 @@ class TestGeoGet:
 def test_live_and_geo_calls_import_no_requests(server, tmp_path):
     program = """
 import sys
-from urbanmas.backend import ChatRequest, LiveBackend, LiveConfig
+from urbanmas.backend import ChatRequest, LiveBackend
 from urbanmas.geo import GeoClient, IngestConfig
 
 base, cache_dir = sys.argv[1:]
-LiveBackend(LiveConfig(api_base=base, api_key="k", model="m")).complete(ChatRequest("s", "u"))
+LiveBackend(base, "k", model="m").complete(ChatRequest("s", "u"))
 GeoClient(IngestConfig(cache_dir=cache_dir, geocoder_url=base)).reverse_geocode(1.0, 2.0)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "requests"))
 """

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import threading
 import time
@@ -21,7 +22,9 @@ from urbanmas.pipeline import (
     write_similarity_log,
 )
 
-from conftest import FACTOR_NAMES, OPENER, ContextProbeBackend, CtrlC, make_factor_set
+from conftest import (
+    FACTOR_NAMES, OPENER, ContextProbeBackend, CtrlC, held_backend, make_factor_set,
+)
 
 
 @pytest.fixture
@@ -155,6 +158,42 @@ class TestRunPredictions:
                 workers=workers,
             )
         assert ctrl_c.started >= ctrl_c.slots
+        assert late == []  # of 36 jobs
+
+    @pytest.mark.parametrize("kind", ["mock", "store"])
+    def test_an_interrupt_begins_no_further_call(self, dataset, factor_map, kind, sigint_raises):
+        workers = 1
+        ctrl_c = CtrlC(slots=len(PAIRS) * workers)
+        tasks = [builtin_task(t) for t in ("running_amount", "boringness", "liveliness")]
+        with pytest.raises(KeyboardInterrupt):
+            run_predictions(
+                dataset, tasks, VARIANTS, held_backend(kind, ctrl_c),
+                {t.id: factor_map for t in tasks}, workers=workers,
+            )
+        assert ctrl_c.started == ctrl_c.slots  # the calls held at the SIGINT
+
+    def test_an_on_job_end_error_starts_no_further_job(self, dataset, factor_map, monkeypatch):
+        raised = threading.Event()
+        ended = itertools.count(1)
+        late = []
+
+        def watched_predict_location(sample, task, variant, *args):
+            if raised.is_set():
+                late.append((sample.id, task.id, variant))
+            return predict_location(sample, task, variant, *args)
+
+        def on_job_end(run):
+            if next(ended) == 1:
+                raised.set()
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(pipeline, "predict_location", watched_predict_location)
+        tasks = [builtin_task(t) for t in ("running_amount", "boringness", "liveliness")]
+        with pytest.raises(OSError, match="no space left"):
+            run_predictions(
+                dataset, tasks, VARIANTS, MockBackend(), {t.id: factor_map for t in tasks},
+                workers=1, on_job_end=on_job_end,
+            )
         assert late == []  # of 36 jobs
 
     def test_missing_factor_maps_fail_fast(self, dataset, task):
